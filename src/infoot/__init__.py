@@ -7,12 +7,12 @@ projection maps (plan-weighted means and density-ratio weighted means),
 retrieval scoring, and label-transfer pipelines with an unsupervised
 bandwidth validation loop.
 
-Numerical hot loops run in a compiled extension when it is available;
-``infoot.BACKEND`` names the implementation in use and the
-``INFOOT_BACKEND`` environment variable can force either one.
+Everything runs on NumPy and SciPy. The Sinkhorn scaling loop, and the
+Newton polish that finishes a solve where the loop stalls, live in
+:mod:`infoot.sinkhorn`. ``infoot.BACKEND`` is the constant ``"python"``,
+which benchmark results record.
 """
 
-from ._core import BACKEND, available_backends
 from ._version import __version__
 from .datasets import (ClusterSample, GeneratorConfig, class_conditional_cost,
                        gen_clusters, gen_two_cluster)
@@ -36,10 +36,11 @@ from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
 from .solver import (AlignmentResult, SolverConfig, limit_check, mi_gradient,
                      mutual_information, solve_fused_infoot, solve_infoot)
 
+BACKEND = "python"
+
 __all__ = [
     "__version__",
     "BACKEND",
-    "available_backends",
     # data containers
     "PointSet",
     "DistanceMatrix",

@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 from ._parallel import parallel_map
 from .kernels import KdeModel, gaussian_kernel
 from .points import PointSet
-from .solver import JOINT_FLOOR
+from .solver import JOINT_FLOOR, _plan_values
 
 __all__ = [
     "ProjectionRequest",
@@ -93,10 +93,6 @@ class ScoreMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-def _plan_values(plan) -> np.ndarray:
-    return np.asarray(getattr(plan, "values", plan), dtype=float)
 
 
 def barycentric_project(coupling, targets: PointSet) -> np.ndarray:

@@ -23,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from ._core import sinkhorn_log_kernel
-from ._core._sinkhorn_py import logsumexp
-
 __all__ = [
     "CouplingMatrix",
     "SinkhornReport",
@@ -129,6 +126,51 @@ class SinkhornReport:
     def __post_init__(self):
         if self.violation < 0:
             raise ValueError("violation must be nonnegative")
+
+
+def logsumexp(X, axis: int) -> np.ndarray:
+    """Max-shifted ``log(sum(exp(X)))`` along ``axis`` of a finite 2-d array.
+
+    Written out instead of calling ``scipy.special.logsumexp``, whose
+    argument handling dominates its cost on the small matrices Sinkhorn
+    sees.
+    """
+    mx = X.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(X - mx).sum(axis=axis, keepdims=True)) + mx
+    return out.squeeze(axis)
+
+
+def sinkhorn_log_kernel(S, p, q, max_iter, tol):
+    """Run stabilized Sinkhorn scaling on the log-kernel ``S``.
+
+    Alternating potential updates with
+    ``log(plan) = a[:, None] + b[None, :] + S``, stopped on the L1
+    violation of both marginals. Returns
+    ``(a, b, iterations, violation, converged)`` where ``a`` and ``b`` are
+    the log-domain scalings.
+    """
+    S = np.asarray(S, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    logp = np.log(p)
+    logq = np.log(q)
+    a = np.zeros(S.shape[0])
+    b = np.zeros(S.shape[1])
+    viol = np.inf
+    # The row log-sum-exp that measures the row violation of one iterate is
+    # the one the next row update needs, so each iteration makes two passes.
+    row_lse = logsumexp(S, axis=1)
+    for it in range(1, max_iter + 1):
+        a = logp - row_lse
+        col_lse = logsumexp(S + a[:, None], axis=0)
+        b = logq - col_lse
+        col_viol = np.abs(np.exp(b + col_lse) - q).sum()
+        row_lse = logsumexp(S + b[None, :], axis=1)
+        row_viol = np.abs(np.exp(a + row_lse) - p).sum()
+        viol = row_viol + col_viol
+        if viol <= tol:
+            return a, b, it, float(viol), True
+    return a, b, max_iter, float(viol), False
 
 
 def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
