@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._parallel import parallel_map
+# Unused here; kept importable because perfbench/spans.py patches this name.
+from ._parallel import parallel_map  # noqa: F401
 from .kernels import KdeModel, gaussian_kernel
 from .points import PointSet
 from .solver import JOINT_FLOOR, _plan_values
@@ -116,37 +117,79 @@ def _target_side(model: KdeModel, h: float) -> tuple[np.ndarray, np.ndarray]:
     return ky, ky.sum(axis=1)
 
 
-def _source_row(model: KdeModel, query, h: float,
-                source_points: PointSet | None,
-                query_distances=None) -> np.ndarray:
-    """Kernel row of one query against the training source samples."""
-    if isinstance(query, (int, np.integer)):
-        i = int(query)
-        if not 0 <= i < model.n:
-            raise ValueError(f"in-sample index {i} out of range [0, {model.n})")
-        if h == model.bandwidth:
-            return model.gram_x.values[i]
-        row = gaussian_kernel(model.dist_x.values[i], h, model.gram_x.scale)
-        row[i] = 1.0
-        return row
-    if query_distances is not None:
-        d = np.asarray(query_distances, dtype=float)
-        if d.shape != (model.n,):
-            raise ValueError(f"query distances must have shape ({model.n},)")
-        if np.any(d < 0):
-            raise ValueError("query distances must be nonnegative")
-        return gaussian_kernel(d, h, model.gram_x.scale)
+def _checked_plan(model: KdeModel, coupling, targets: PointSet,
+                  h_proj) -> tuple[np.ndarray, float]:
+    """Plan values and projection bandwidth, validated against the model."""
+    g = _plan_values(coupling)
+    if g.shape != (model.n, model.m):
+        raise ValueError(f"plan shape {g.shape} does not match model "
+                         f"({model.n}, {model.m})")
+    if targets.n != model.m:
+        raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
+    h = model.bandwidth if h_proj is None else float(h_proj)
+    if h <= 0:
+        raise ValueError("projection bandwidth must be positive")
+    return g, h
+
+
+def _index_block(model: KdeModel, idx: np.ndarray, h: float) -> np.ndarray:
+    """Kernel rows of in-sample queries ``idx`` against the source samples."""
+    bad = (idx < 0) | (idx >= model.n)
+    if bad.any():
+        raise ValueError(f"in-sample index {idx[bad][0]} out of range "
+                         f"[0, {model.n})")
+    if h == model.bandwidth:
+        return model.gram_x.values[idx]
+    kq = gaussian_kernel(model.dist_x.values[idx], h, model.gram_x.scale)
+    kq[np.arange(idx.size), idx] = 1.0
+    return kq
+
+
+def _distance_block(model: KdeModel, d: np.ndarray, h: float) -> np.ndarray:
+    """Kernel rows of queries at distances ``d`` (q, n) from the source samples.
+
+    Each row's smallest squared distance is subtracted in the exponent, so
+    its nearest sample gets kernel 1. The weights do not change when a row
+    is scaled, and a query far from every sample keeps a row that does not
+    underflow to all zeros.
+    """
+    d2 = d * d
+    d2 -= d2.min(axis=1, keepdims=True)
+    sigma = model.gram_x.scale
+    return np.exp(-d2 / (2.0 * h * h * sigma * sigma))
+
+
+def _coordinate_block(model: KdeModel, x: np.ndarray, h: float,
+                      source_points: PointSet | None) -> np.ndarray:
+    """Kernel rows of coordinate queries ``x`` (q, d) against the source samples."""
     if source_points is None:
         raise ValueError(
             "out-of-sample query on a domain without coordinates: supply "
             "source_points for the euclidean metric, or query_distances "
             "holding the distances from the query to every training point")
-    x = np.asarray(query, dtype=float).reshape(1, -1)
     if x.shape[1] != source_points.d:
         raise ValueError(f"query has {x.shape[1]} features, source has "
                          f"{source_points.d}")
-    d = cdist(x, source_points.points)[0]
-    return gaussian_kernel(d, h, model.gram_x.scale)
+    return _distance_block(model, cdist(x, source_points.points), h)
+
+
+def _query_array(queries) -> np.ndarray:
+    arr = np.asarray(queries)
+    if arr.dtype == bool:
+        raise ValueError("queries must be integer indices or coordinate rows, "
+                         "not bool")
+    return arr
+
+
+def _weights(model: KdeModel, g: np.ndarray, h: float, kq: np.ndarray,
+             normalize: bool) -> np.ndarray:
+    """Importance weights of the queries whose source kernel rows are ``kq``."""
+    ky, my = _target_side(model, h)
+    joint = np.maximum((kq @ g) @ ky.T, JOINT_FLOOR)
+    weights = joint / np.outer(kq.sum(axis=1), my)
+    if normalize:
+        weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
@@ -163,37 +206,47 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
     to floating-point underflow; ``normalize=True`` rescales them to a
     probability row.
     """
-    g = _plan_values(coupling)
-    if g.shape != (model.n, model.m):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({model.n}, {model.m})")
-    if targets.n != model.m:
-        raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
-    h = model.bandwidth if h_proj is None else float(h_proj)
-    if h <= 0:
-        raise ValueError("projection bandwidth must be positive")
-    ky, my = _target_side(model, h)
-    kx = _source_row(model, query, h, source_points, query_distances)
-    fx = kx.sum()
-    joint_row = np.maximum((kx @ g) @ ky.T, JOINT_FLOOR)
-    weights = joint_row / (fx * my)
-    if normalize:
-        weights = weights / weights.sum()
-    return weights
+    g, h = _checked_plan(model, coupling, targets, h_proj)
+    query = _query_array(query)
+    if query.ndim == 0 and np.issubdtype(query.dtype, np.integer):
+        kq = _index_block(model, query.reshape(1), h)
+    elif query_distances is not None:
+        d = np.asarray(query_distances, dtype=float)
+        if d.shape != (model.n,):
+            raise ValueError(f"query distances must have shape ({model.n},)")
+        if np.any(d < 0):
+            raise ValueError("query distances must be nonnegative")
+        kq = _distance_block(model, d.reshape(1, -1), h)
+    else:
+        kq = _coordinate_block(model, query.astype(float).reshape(1, -1), h,
+                               source_points)
+    return _weights(model, g, h, kq, normalize)[0]
 
 
 def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
                       h_proj: float | None = None, *,
                       source_points: PointSet | None = None,
                       normalize: bool = True) -> ScoreMatrix:
-    """Batch :func:`importance_weights`; queries are scored independently."""
-    query_list = _as_query_list(model, queries)
-    rows = parallel_map(
-        lambda query: importance_weights(
-            model, coupling, query, targets, h_proj,
-            source_points=source_points, normalize=normalize),
-        query_list)
-    return ScoreMatrix(np.vstack(rows), normalized=normalize)
+    """Batch :func:`importance_weights`: one (q, n) kernel block for all queries.
+
+    ``queries`` is ``None`` (every training source point), an index or
+    1-d integer array of them, or coordinate rows of unseen points (then
+    ``source_points`` must be given). Each row equals the weights of its
+    query scored alone.
+    """
+    g, h = _checked_plan(model, coupling, targets, h_proj)
+    if queries is None:
+        kq = _index_block(model, np.arange(model.n), h)
+    else:
+        arr = _query_array(queries)
+        if arr.size == 0:
+            raise ValueError("query batch is empty")
+        if arr.ndim <= 1 and np.issubdtype(arr.dtype, np.integer):
+            kq = _index_block(model, arr.reshape(-1), h)
+        else:
+            kq = _coordinate_block(model, np.atleast_2d(arr.astype(float)), h,
+                                   source_points)
+    return ScoreMatrix(_weights(model, g, h, kq, normalize), normalized=normalize)
 
 
 def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,
@@ -209,15 +262,3 @@ def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,
                                source_points=source_points, normalize=True)
     return scores.values @ targets.points
 
-
-def _as_query_list(model: KdeModel, queries) -> list:
-    """Normalize a query spec into a list of indices and/or coordinate rows."""
-    if queries is None:
-        return list(range(model.n))
-    if isinstance(queries, (int, np.integer)):
-        return [int(queries)]
-    arr = np.asarray(queries)
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        return [int(i) for i in arr]
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    return [row for row in arr]

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .kernels import _readonly
+
 __all__ = [
     "CouplingMatrix",
     "SinkhornReport",
@@ -44,12 +46,6 @@ _MAX_HALVINGS = 30
 # can disconnect it.
 _RIDGE = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def check_marginal(w, name: str = "marginal") -> np.ndarray:

@@ -8,8 +8,9 @@ kernel tests (same kernels recomputed from scratch, no package code).
 import numpy as np
 import pytest
 
-from infoot import (PointSet, ProjectionRequest, ScoreMatrix,
-                    barycentric_project, build_kde_model, conditional_project,
+from infoot import (GeneratorConfig, PointSet, ProjectionRequest, ScoreMatrix,
+                    SolverConfig, barycentric_project, build_kde_model,
+                    conditional_project, fit_alignment, gen_clusters,
                     importance_scores, importance_weights, pairwise_distances)
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
@@ -184,3 +185,80 @@ def test_projection_stays_in_target_hull():
     proj = conditional_project(model, g, None, ys)
     lo, hi = ys.points.min(axis=0), ys.points.max(axis=0)
     assert np.all(proj >= lo - 1e-12) and np.all(proj <= hi + 1e-12)
+
+
+def _rectangular_case():
+    rng = np.random.default_rng(41)
+    xs = PointSet(rng.normal(size=(7, 2)))
+    ys = PointSet(rng.normal(size=(5, 2)) + 0.5)
+    g = rng.uniform(0.1, 1.0, (7, 5))
+    g /= g.sum()
+    model = build_kde_model(pairwise_distances(xs, xs),
+                            pairwise_distances(ys, ys, kind="intra-target"),
+                            0.5)
+    return model, g, xs, ys
+
+
+def _oracle_row(d_row, model, g, ys, h):
+    # w_j ∝ f_plan(x, y_j) / (f_X(x) f_Y(y_j)) for one query whose distances
+    # to the source samples are d_row, recomputed from scratch.
+    sx, sy = model.gram_x.scale, model.gram_y.scale
+    kx = np.exp(-d_row ** 2 / (2 * h * h * sx * sx))
+    dy = np.sqrt(((ys.points[:, None] - ys.points[None]) ** 2).sum(axis=2))
+    ky = np.exp(-dy ** 2 / (2 * h * h * sy * sy))
+    np.fill_diagonal(ky, 1.0)
+    joint = np.maximum(kx @ g @ ky.T, 1e-300)
+    w = joint / (kx.sum() * ky.sum(axis=1))
+    return w / w.sum()
+
+
+def test_batched_scores_match_per_row_oracle():
+    model, g, xs, ys = _rectangular_case()
+    h_proj = 0.3
+    assert (model.n, model.m) == (7, 5) and h_proj != model.bandwidth
+    dist_x = np.sqrt(((xs.points[:, None] - xs.points[None]) ** 2).sum(axis=2))
+    idx = np.array([4, 0, 6, 4])
+    by_index = importance_scores(model, g, idx, ys, h_proj).values
+    for row, i in zip(by_index, idx):
+        np.testing.assert_allclose(row, _oracle_row(dist_x[i], model, g, ys,
+                                                    h_proj), rtol=0, atol=1e-15)
+    queries = np.random.default_rng(43).normal(size=(6, 2)) * 2.0
+    by_coords = importance_scores(model, g, queries, ys, h_proj,
+                                  source_points=xs).values
+    for row, q in zip(by_coords, queries):
+        d_row = np.sqrt(((xs.points - q) ** 2).sum(axis=1))
+        expect = _oracle_row(d_row, model, g, ys, h_proj)
+        np.testing.assert_allclose(row, expect, rtol=0, atol=1e-15)
+        by_dist = importance_weights(model, g, q, ys, h_proj,
+                                     query_distances=d_row, normalize=True)
+        np.testing.assert_allclose(by_dist, expect, rtol=0, atol=1e-15)
+
+
+def test_batch_with_one_bad_index_raises():
+    with pytest.raises(ValueError, match="out of range"):
+        importance_scores(_model(), PLAN, np.array([0, 3, 1]), Y)
+
+
+def test_far_query_scores_finite():
+    sample = gen_clusters(GeneratorConfig(sizes=(10, 10, 10), seed=0))
+    fit = fit_alignment(sample.source, sample.target,
+                        SolverConfig(lam=100.0, eps=1.0, bandwidth=0.5, seed=0))
+    scores = importance_scores(fit.model, fit.result.coupling,
+                               np.array([[50.0, 50.0]]), fit.target,
+                               source_points=fit.source)
+    assert np.all(np.isfinite(scores.values)) and np.all(scores.values >= 0)
+    assert abs(scores.values.sum() - 1.0) < 1e-12
+
+
+def test_empty_batch_rejected():
+    model = _model()
+    with pytest.raises(ValueError, match="empty"):
+        importance_scores(model, PLAN, np.array([], dtype=int), Y)
+    with pytest.raises(ValueError, match="empty"):
+        importance_scores(model, PLAN, np.empty((0, 2)), Y, source_points=X)
+
+
+def test_bool_queries_rejected():
+    with pytest.raises(ValueError, match="bool"):
+        importance_scores(_model(), PLAN, np.array([True, False]), Y,
+                          source_points=X)
