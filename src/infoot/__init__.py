@@ -7,10 +7,11 @@ projection maps (plan-weighted means and density-ratio weighted means),
 retrieval scoring, and label-transfer pipelines with an unsupervised
 bandwidth validation loop.
 
-Everything runs on NumPy and SciPy. The Sinkhorn scaling loop, and the
-Newton polish that finishes a solve where the loop stalls, live in
-:mod:`infoot.sinkhorn`. ``infoot.BACKEND`` is the constant ``"python"``,
-which benchmark results record.
+NumPy is the only runtime dependency: importing the package loads no
+SciPy module, which keeps short runs such as one CLI call quick to start.
+The Sinkhorn scaling loop, and the Newton polish that finishes a solve
+where the loop stalls, live in :mod:`infoot.sinkhorn`. ``infoot.BACKEND``
+is the constant ``"python"``, which benchmark results record.
 """
 
 from ._version import __version__

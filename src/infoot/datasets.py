@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .kernels import DistanceMatrix
+from .kernels import DistanceMatrix, _euclidean
 from .points import PointSet
 
 __all__ = [
@@ -166,7 +165,7 @@ def class_conditional_cost(points: PointSet,
         raise ValueError("class-conditional cost needs labeled points")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    d = cdist(points.points, points.points)
+    d = _euclidean(points.points, points.points)
     np.fill_diagonal(d, 0.0)
     mismatch = points.labels[:, None] != points.labels[None, :]
     return DistanceMatrix(d + penalty * mismatch, kind="intra-source")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .points import PointSet
 
@@ -42,6 +41,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (m, d).
+
+    Squared coordinate differences are summed one column at a time, in
+    column order, into one (n, m) array, which is the arithmetic of SciPy's
+    ``cdist`` and gives the same bits. Memory stays O(nm): no (n, m, d)
+    difference tensor is built.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    out = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(out)
+    for ak, bk in zip(a.T, b.T):
+        np.subtract.outer(ak, bk, out=diff)
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -165,9 +183,7 @@ def pairwise_distances(a: PointSet, b: PointSet, metric: str = "euclidean",
     if kind is None:
         kind = "intra-source" if a is b else "cross"
     if metric == "euclidean":
-        if a.d != b.d:
-            raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-        vals = cdist(a.points, b.points)
+        vals = _euclidean(a.points, b.points)
         if a is b:
             np.fill_diagonal(vals, 0.0)
     elif metric == "precomputed":

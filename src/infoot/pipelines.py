@@ -10,6 +10,7 @@ report's ``wall_time`` field.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import time
@@ -18,13 +19,13 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._parallel import parallel_map
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        class_conditional_cost, gen_clusters)
-from .kernels import KdeModel, build_kde_model, pairwise_distances
+from .kernels import (KdeModel, _euclidean, build_kde_model,
+                      pairwise_distances)
 from .points import PointSet
 from .projection import (ProjectionRequest, ScoreMatrix, barycentric_project,
                          conditional_project, importance_scores)
@@ -168,8 +169,13 @@ def load_spec(path) -> ExperimentSpec:
     return spec_from_dict(data)
 
 
+@functools.cache
 def version_stamp() -> str:
-    """Package version, plus the short git revision when inside a checkout."""
+    """Package version, plus the short git revision when inside a checkout.
+
+    Computed once per process, as the revision cannot change under a
+    running program and each lookup spawns ``git``.
+    """
     stamp = __version__
     try:
         proc = subprocess.run(
@@ -253,7 +259,7 @@ def nn_classify(train_points, train_labels, query_points) -> np.ndarray:
     """1-nearest-neighbour labels; ties go to the lowest training index."""
     train = np.atleast_2d(np.asarray(train_points, dtype=float))
     queries = np.atleast_2d(np.asarray(query_points, dtype=float))
-    d = cdist(queries, train)
+    d = _euclidean(queries, train)
     return np.asarray(train_labels)[d.argmin(axis=1)]
 
 
@@ -313,7 +319,7 @@ def outlier_hits(projected, outliers, radius: float) -> int:
     outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
     if outliers.size == 0:
         return 0
-    d = cdist(projected, outliers)
+    d = _euclidean(projected, outliers)
     return int(np.count_nonzero(d.min(axis=1) < radius))
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
-from .kernels import KdeModel, gaussian_kernel
+from .kernels import KdeModel, _euclidean, gaussian_kernel
 from .points import PointSet
 from .solver import JOINT_FLOOR, _plan_values
 
@@ -170,7 +169,10 @@ def _coordinate_block(model: KdeModel, x: np.ndarray, h: float,
     if x.shape[1] != source_points.d:
         raise ValueError(f"query has {x.shape[1]} features, source has "
                          f"{source_points.d}")
-    return _distance_block(model, cdist(x, source_points.points), h)
+    if source_points.n != model.n:
+        raise ValueError(f"source_points has {source_points.n} rows, model "
+                         f"expects {model.n}")
+    return _distance_block(model, _euclidean(x, source_points.points), h)
 
 
 def _query_array(queries) -> np.ndarray:

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .kernels import _readonly
 
@@ -312,7 +311,7 @@ def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
 def entropy(plan) -> float:
     """Plan entropy ``-sum(g * log(g))`` with the ``0 log 0 = 0`` convention."""
     g = np.asarray(getattr(plan, "values", plan), dtype=float)
-    return float(-xlogy(g, g).sum())
+    return float(-(g * np.log(np.where(g == 0, 1.0, g))).sum())
 
 
 def exact_assignment(C) -> tuple[np.ndarray, float]:

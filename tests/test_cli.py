@@ -1,8 +1,10 @@
 """Command-line interface: artifacts, exit codes, overrides."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,18 @@ def test_spec_out_key_used_when_no_flag(tmp_path):
     spec = _write_spec(tmp_path, _spec_data(out=str(out)))
     assert main(["generate", spec]) == 0
     assert (out / "report.json").exists()
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, infoot, infoot.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_runs():

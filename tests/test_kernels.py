@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from infoot import (DistanceMatrix, KernelGram, PointSet, build_kde_model,
                     estimate_scale, gaussian_gram, gaussian_kernel,
                     joint_density, load_distance_csv, pairwise_distances)
+from infoot.kernels import _euclidean
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -45,6 +47,26 @@ def test_pairwise_distances_match_loop_oracle():
         np.testing.assert_allclose(d.values, _loop_distances(a.points, b.points),
                                    atol=1e-12)
         assert d.kind == "cross"
+
+
+def test_euclidean_equals_scipy_cdist_bitwise():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 7), (7, 1), (1, 1), (9, 13), (40, 25)]
+    for d in (1, 2, 64):
+        for scale in (1e-3, 1.0, 1e3):
+            for n, m in shapes:
+                a = scale * rng.normal(size=(n, d))
+                b = scale * rng.normal(size=(m, d))
+                assert np.array_equal(_euclidean(a, b), cdist(a, b))
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        pairwise_distances(X, PointSet(np.zeros((2, 3))))
+
+
+def test_self_distances_have_zero_diagonal():
+    a = PointSet(np.random.default_rng(12).normal(size=(30, 5)))
+    d = pairwise_distances(a, a)
+    assert np.array_equal(d.values, cdist(a.points, a.points))
+    assert np.all(np.diag(d.values) == 0.0)
 
 
 def test_intra_kind_defaults_when_same_object():

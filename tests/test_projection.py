@@ -108,6 +108,13 @@ def test_out_of_sample_needs_source_info():
         importance_weights(_model(), PLAN, np.array([0.1, 0.2]), Y)
 
 
+def test_source_points_must_match_model_size():
+    with pytest.raises(ValueError, match="source_points has 2 rows, model "
+                                         "expects 3"):
+        importance_scores(_model(), PLAN, np.array([[0.1, 0.2]]), Y,
+                          source_points=PointSet(X.points[:2]))
+
+
 def test_bad_queries_and_shapes():
     model = _model()
     with pytest.raises(ValueError, match="out of range"):

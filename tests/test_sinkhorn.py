@@ -6,10 +6,12 @@ assignment values were frozen from factorial enumeration.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.special import xlogy
 
 import infoot
 from infoot import (CouplingMatrix, check_marginal, entropy, exact_assignment,
@@ -199,6 +201,18 @@ def test_entropy_against_direct_sum():
     assert abs(entropy(g) - direct) < 1e-14
     assert abs(entropy(g) - 1.6796478837567517) < 1e-14
     assert entropy(np.array([[1.0, 0.0], [0.0, 0.0]])) == 0.0  # 0 log 0 = 0
+
+
+def test_entropy_matches_xlogy_with_zero_entries():
+    rng = np.random.default_rng(5)
+    g = rng.uniform(size=(300, 300))
+    g[rng.uniform(size=g.shape) < 0.3] = 0.0
+    g /= g.sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = entropy(g)
+    expected = -xlogy(g, g).sum()
+    assert abs(value - expected) <= 1e-15 * abs(expected)
 
 
 def test_assignment_frozen_4x4():
