@@ -16,7 +16,7 @@ is the constant ``"python"``, which benchmark results record.
 
 from ._version import __version__
 from .datasets import (ClusterSample, GeneratorConfig, class_conditional_cost,
-                       gen_clusters, gen_two_cluster)
+                       gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, KernelGram, build_kde_model,
                       estimate_scale, gaussian_gram, gaussian_kernel,
                       joint_density, load_distance_csv, pairwise_distances)
@@ -86,7 +86,6 @@ __all__ = [
     "load_points_csv",
     "save_points_csv",
     "gen_clusters",
-    "gen_two_cluster",
     "class_conditional_cost",
     "load_spec",
     "spec_from_dict",

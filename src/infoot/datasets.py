@@ -12,14 +12,13 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .kernels import DistanceMatrix, _euclidean
+from .kernels import DistanceMatrix, pairwise_distances
 from .points import PointSet
 
 __all__ = [
     "GeneratorConfig",
     "ClusterSample",
     "gen_clusters",
-    "gen_two_cluster",
     "class_conditional_cost",
 ]
 
@@ -146,13 +145,6 @@ def gen_clusters(cfg: GeneratorConfig) -> ClusterSample:
     )
 
 
-def gen_two_cluster(cfg: GeneratorConfig) -> ClusterSample:
-    """Two-mode convenience wrapper around :func:`gen_clusters`."""
-    if cfg.n_clusters != 2:
-        raise ValueError(f"expected 2 clusters, got {cfg.n_clusters}")
-    return gen_clusters(cfg)
-
-
 def class_conditional_cost(points: PointSet,
                            penalty: float = DEFAULT_CLASS_PENALTY) -> DistanceMatrix:
     """Intra-domain euclidean distances plus a flat class-mismatch penalty.
@@ -165,7 +157,6 @@ def class_conditional_cost(points: PointSet,
         raise ValueError("class-conditional cost needs labeled points")
     if penalty < 0:
         raise ValueError("penalty must be nonnegative")
-    d = _euclidean(points.points, points.points)
-    np.fill_diagonal(d, 0.0)
+    d = pairwise_distances(points, points).values
     mismatch = points.labels[:, None] != points.labels[None, :]
     return DistanceMatrix(d + penalty * mismatch, kind="intra-source")

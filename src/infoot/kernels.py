@@ -15,10 +15,12 @@ meaningful across datasets of different units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .points import PointSet
+if TYPE_CHECKING:
+    from .points import PointSet
 
 __all__ = [
     "DistanceMatrix",
@@ -38,7 +40,8 @@ _KINDS = ("intra-source", "intra-target", "cross")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only C-contiguous copy of ``a``; the caller's array stays writable."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -171,30 +174,19 @@ class KdeModel:
         return self.gram_x.bandwidth
 
 
-def pairwise_distances(a: PointSet, b: PointSet, metric: str = "euclidean",
-                       precomputed: np.ndarray | None = None,
+def pairwise_distances(a: PointSet, b: PointSet,
                        kind: str | None = None) -> DistanceMatrix:
     """Euclidean distance matrix between two point sets.
 
-    With ``metric="precomputed"`` the supplied matrix is validated (shape
-    against the point sets, nonnegativity) and passed through. ``kind``
-    defaults to ``"intra-source"`` when ``a is b`` and ``"cross"`` otherwise.
+    ``kind`` defaults to ``"intra-source"`` when ``a is b`` and ``"cross"``
+    otherwise; distances already in memory are wrapped directly with
+    ``DistanceMatrix(values, kind=...)``.
     """
     if kind is None:
         kind = "intra-source" if a is b else "cross"
-    if metric == "euclidean":
-        vals = _euclidean(a.points, b.points)
-        if a is b:
-            np.fill_diagonal(vals, 0.0)
-    elif metric == "precomputed":
-        if precomputed is None:
-            raise ValueError("metric='precomputed' requires a matrix")
-        vals = np.asarray(precomputed, dtype=float)
-        if vals.shape != (a.n, b.n):
-            raise ValueError(f"precomputed matrix has shape {vals.shape}, "
-                             f"expected {(a.n, b.n)}")
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    vals = _euclidean(a.points, b.points)
+    if a is b:
+        np.fill_diagonal(vals, 0.0)
     return DistanceMatrix(vals, kind=kind)
 
 

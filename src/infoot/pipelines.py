@@ -24,8 +24,9 @@ from ._parallel import parallel_map
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        class_conditional_cost, gen_clusters)
-from .kernels import (KdeModel, _euclidean, build_kde_model,
-                      pairwise_distances)
+from .kernels import KdeModel, _euclidean, pairwise_distances
+# Unused here; kept importable because perfbench/spans.py patches this name.
+from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
 from .projection import (ProjectionRequest, ScoreMatrix, barycentric_project,
                          conditional_project, importance_scores)
@@ -325,12 +326,16 @@ def outlier_hits(projected, outliers, radius: float) -> int:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A solved alignment bundled with the KDE state it was solved under."""
+    """A solved alignment bundled with the point sets it aligns."""
 
-    model: KdeModel
     result: AlignmentResult
     source: PointSet
     target: PointSet
+
+    @property
+    def model(self) -> KdeModel:
+        """The KDE state the alignment was solved under."""
+        return self.result.model
 
 
 def fit_alignment(source: PointSet, target: PointSet, cfg: SolverConfig,
@@ -350,8 +355,7 @@ def fit_alignment(source: PointSet, target: PointSet, cfg: SolverConfig,
     cross = pairwise_distances(source, target, kind="cross")
     result = solve_fused_infoot(cross.values, dx, dy,
                                 source.weights, target.weights, cfg)
-    model = build_kde_model(dx, dy, cfg.bandwidth)
-    return FitResult(model=model, result=result, source=source, target=target)
+    return FitResult(result=result, source=source, target=target)
 
 
 def project_source(fit: FitResult,

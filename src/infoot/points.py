@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _readonly
+
 __all__ = ["PointSet", "load_points_csv", "uniform_weights"]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -22,12 +24,6 @@ def uniform_weights(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     return np.full(n, 1.0 / n)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

@@ -40,35 +40,22 @@ _MODES = ("barycentric", "conditional")
 
 @dataclass(frozen=True)
 class ProjectionRequest:
-    """How source queries should be mapped into the target domain.
+    """How the training source points are mapped into the target domain.
 
-    ``indices`` selects in-sample queries, ``coordinates`` supplies
-    out-of-sample rows (conditional mode only); leaving both unset maps
-    every training source point. ``bandwidth`` overrides the solver
-    bandwidth for the conditional weights and is ignored by the
-    barycentric map.
+    ``bandwidth`` overrides the solver bandwidth for the conditional
+    weights and is ignored by the barycentric map. Out-of-sample queries
+    go to :func:`conditional_project` or :func:`importance_weights`
+    directly.
     """
 
     mode: str = "conditional"
     bandwidth: float | None = None
-    indices: np.ndarray | None = None
-    coordinates: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("projection bandwidth must be positive")
-        if self.indices is not None and self.coordinates is not None:
-            raise ValueError("pass either indices or coordinates, not both")
-        if self.coordinates is not None:
-            if self.mode != "conditional":
-                raise ValueError("out-of-sample queries need conditional mode")
-            coords = np.atleast_2d(np.asarray(self.coordinates, dtype=float))
-            object.__setattr__(self, "coordinates", coords)
-        if self.indices is not None:
-            object.__setattr__(self, "indices",
-                               np.asarray(self.indices, dtype=int))
 
 
 @dataclass(frozen=True)

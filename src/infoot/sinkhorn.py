@@ -86,7 +86,7 @@ class CouplingMatrix:
         if abs(vals.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"plan mass must be 1, got {vals.sum()!r}")
         if self.strict:
-            err = self.marginal_violation(vals, p, q, split=True)
+            err = self.marginal_violation(vals, p, q)
             if err[0] > MARGINAL_TOL or err[1] > MARGINAL_TOL:
                 raise ValueError(f"plan violates marginals: max row dev {err[0]:.3e}, "
                                  f"max col dev {err[1]:.3e}")
@@ -95,12 +95,11 @@ class CouplingMatrix:
         object.__setattr__(self, "col_marginal", _readonly(q))
 
     @staticmethod
-    def marginal_violation(vals, p, q, split: bool = False):
+    def marginal_violation(vals, p, q) -> tuple[float, float]:
+        """Largest row and largest column deviation from ``p`` and ``q``."""
         row_dev = np.abs(vals.sum(axis=1) - p)
         col_dev = np.abs(vals.sum(axis=0) - q)
-        if split:
-            return float(row_dev.max()), float(col_dev.max())
-        return float(row_dev.sum() + col_dev.sum())
+        return float(row_dev.max()), float(col_dev.max())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -168,8 +167,8 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol):
     return a, b, max_iter, float(viol), False
 
 
-def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
-             normalize: bool = False) -> tuple[CouplingMatrix, SinkhornReport]:
+def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9
+             ) -> tuple[CouplingMatrix, SinkhornReport]:
     """Solve ``min <plan, C> - eps * H(plan)`` over couplings of ``p, q``.
 
     Iterates until the L1 violation of both marginals drops below ``tol`` or
@@ -182,10 +181,6 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     Should backtracking find no Newton step that increases the dual (as
     happens once rounding dominates), the rest of the budget goes back to
     sweeps.
-    ``normalize=True`` divides the cost by its maximum absolute entry first
-    (the optimum is invariant to positive cost scaling only jointly with
-    ``eps``; the flag trades effective regularization for comparability
-    across cost scales).
     """
     start = time.perf_counter()
     C = np.ascontiguousarray(C, dtype=float)
@@ -204,10 +199,6 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     if C.shape != (p.size, q.size):
         raise ValueError(f"cost shape {C.shape} does not match marginals "
                          f"({p.size}, {q.size})")
-    if normalize:
-        scale = np.max(np.abs(C))
-        if scale > 0:
-            C = C / scale
 
     S = np.ascontiguousarray(-C / eps)
     max_iter = int(max_iter)
@@ -227,7 +218,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     # Feasibility strictness reflects the plan actually produced: a loose
     # caller tolerance can stop short of the class invariant even when the
     # iteration "converged" in the caller's sense.
-    dev = CouplingMatrix.marginal_violation(plan, p, q, split=True)
+    dev = CouplingMatrix.marginal_violation(plan, p, q)
     strict = bool(converged) and max(dev) <= MARGINAL_TOL
     coupling = CouplingMatrix(plan, p, q, strict=strict)
     report = SinkhornReport(

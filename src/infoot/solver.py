@@ -55,7 +55,6 @@ class SolverConfig:
     outer_tol: float = 1e-6
     inner_max_iter: int = 1000
     inner_tol: float = 1e-9
-    normalize_cost: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -74,7 +73,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Final coupling plus per-outer-iteration traces and diagnostics."""
+    """Final coupling plus per-outer-iteration traces and diagnostics.
+
+    ``model`` is the KDE state the plan was solved under, so projections
+    can reuse it instead of rebuilding it.
+    """
 
     coupling: CouplingMatrix
     objective_trace: list[float]
@@ -82,6 +85,7 @@ class AlignmentResult:
     converged: bool
     wall_time: float
     config: SolverConfig
+    model: KdeModel
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -170,7 +174,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     converged = outer_converged and inner_ok
     rises = np.diff(objective_trace)
     max_rise = float(rises.max()) if rises.size else 0.0
-    dev = CouplingMatrix.marginal_violation(g, p, q, split=True)
+    dev = CouplingMatrix.marginal_violation(g, p, q)
     strict = inner_ok and max(dev) <= MARGINAL_TOL
     coupling = CouplingMatrix(g, p, q, strict=strict)
     return AlignmentResult(
@@ -180,6 +184,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
         converged=converged,
         wall_time=time.perf_counter() - start,
         config=cfg,
+        model=model,
         diagnostics={
             "outer_iterations": len(objective_trace),
             "outer_converged": outer_converged,
@@ -188,7 +193,6 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
             "inner_converged": inner_ok,
             "objective_max_rise": max_rise,
             "lam_effective": lam,
-            "cost_normalized": bool(cfg.normalize_cost),
         },
     )
 
@@ -230,10 +234,6 @@ def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     if C.shape != (model.n, model.m):
         raise ValueError(f"cross cost shape {C.shape} does not match domains "
                          f"({model.n}, {model.m})")
-    if cfg.normalize_cost:
-        scale = np.max(np.abs(C))
-        if scale > 0:
-            C = C / scale
     return _pgd(C, model, p, q, cfg, lam=cfg.lam)
 
 

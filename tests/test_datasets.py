@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
-from infoot import (GeneratorConfig, class_conditional_cost, gen_clusters,
-                    gen_two_cluster)
+from infoot import GeneratorConfig, class_conditional_cost, gen_clusters
 from infoot.datasets import OUTLIER_ID, _mode_centers
 
 
@@ -85,12 +85,6 @@ def test_single_point_clusters():
     assert s.source.n == s.target.n == 1
 
 
-def test_two_cluster_guard():
-    with pytest.raises(ValueError, match="2 clusters"):
-        gen_two_cluster(GeneratorConfig(sizes=(3, 3, 3), seed=0))
-    assert gen_two_cluster(GeneratorConfig(sizes=(3, 3), seed=0)).source.n == 6
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(sizes=(), seed=0)
@@ -119,6 +113,8 @@ def test_class_conditional_cost_structure():
     d = class_conditional_cost(ps, penalty=100.0)
     vals = d.values
     assert d.kind == "intra-source"
+    mismatch = labels[:, None] != labels[None, :]
+    assert np.array_equal(vals, cdist(pts, pts) + 100.0 * mismatch)
     np.testing.assert_array_equal(np.diag(vals), np.zeros(6))
     np.testing.assert_allclose(vals, vals.T, atol=1e-12)
     for i in range(6):

@@ -76,14 +76,6 @@ def test_intra_kind_defaults_when_same_object():
     np.testing.assert_allclose(d.values, d.values.T, atol=1e-15)
 
 
-def test_precomputed_distances_pass_through():
-    vals = _loop_distances(X.points, Y.points)
-    d = pairwise_distances(X, Y, metric="precomputed", precomputed=vals)
-    np.testing.assert_array_equal(d.values, vals)
-    with pytest.raises(ValueError):
-        pairwise_distances(X, Y, metric="precomputed", precomputed=vals.T)
-
-
 def test_distance_matrix_invariants():
     with pytest.raises(ValueError):
         DistanceMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), kind="cross")

@@ -181,6 +181,27 @@ def test_solve_pipeline_produces_report():
     assert fit.result.coupling.values.shape == (10, 15 - 5)
 
 
+def test_fit_builds_one_kde_model(monkeypatch):
+    import infoot.kernels
+    import infoot.pipelines
+    import infoot.solver
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return infoot.kernels.build_kde_model(*args, **kwargs)
+
+    # Both names a fit could reach the builder through.
+    monkeypatch.setattr(infoot.solver, "build_kde_model", counted)
+    monkeypatch.setattr(infoot.pipelines, "build_kde_model", counted)
+    sample = gen_clusters(GeneratorConfig(sizes=(4, 4), seed=2))
+    fit = infoot.pipelines.fit_alignment(sample.source, sample.target,
+                                         SolverConfig(lam=10.0, **FAST))
+    assert len(calls) == 1
+    assert fit.model is fit.result.model
+
+
 def test_adaptation_identity_instance_is_perfect():
     # identical domains: label transfer must be exact
     data = _spec_dict(

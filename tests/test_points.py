@@ -33,6 +33,17 @@ def test_pointset_arrays_are_readonly():
         ps.weights[0] = 0.2
 
 
+def test_pointset_leaves_caller_arrays_writable():
+    x = np.array([[0.0, 1.0], [2.0, 3.0]])
+    labels = np.array([1, 2])
+    w = np.array([0.25, 0.75])
+    ps = PointSet(x, labels=labels, weights=w)
+    assert x.flags.writeable and labels.flags.writeable and w.flags.writeable
+    x[0, 0] = 9.0  # the point set holds its own copy
+    assert ps.points[0, 0] == 0.0
+    assert ps.labels.dtype.kind == "i"
+
+
 def test_pointset_validation():
     with pytest.raises(ValueError):
         PointSet(np.zeros(3))  # 1-d

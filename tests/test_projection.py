@@ -161,12 +161,6 @@ def test_projection_request_validation():
         ProjectionRequest(mode="nearest")
     with pytest.raises(ValueError):
         ProjectionRequest(bandwidth=-1.0)
-    with pytest.raises(ValueError):
-        ProjectionRequest(indices=[0], coordinates=[[0.0, 0.0]])
-    with pytest.raises(ValueError):
-        ProjectionRequest(mode="barycentric", coordinates=[[0.0, 0.0]])
-    req = ProjectionRequest(coordinates=[0.5, 0.5])
-    assert req.coordinates.shape == (1, 2)
 
 
 def test_score_matrix_validation():

@@ -74,7 +74,7 @@ def test_sinkhorn_marginal_feasibility():
         coupling, report = sinkhorn(C, p, q, eps=0.05, max_iter=20000)
         assert report.converged
         row_dev, col_dev = CouplingMatrix.marginal_violation(
-            coupling.values, p, q, split=True)
+            coupling.values, p, q)
         assert row_dev < 1e-8 and col_dev < 1e-8
 
 
@@ -125,6 +125,17 @@ def test_sinkhorn_constant_cost_gives_independent_plan():
     q = np.array([0.2, 0.3, 0.5])
     coupling, _ = sinkhorn(np.full((2, 3), 4.2), p, q, eps=1.0)
     np.testing.assert_allclose(coupling.values, np.outer(p, q), atol=1e-12)
+
+
+def test_sinkhorn_leaves_caller_arrays_writable():
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p = np.array([0.4, 0.6])
+    q = np.array([0.5, 0.5])
+    coupling, _ = sinkhorn(C, p, q, eps=1.0)
+    assert C.flags.writeable and p.flags.writeable and q.flags.writeable
+    assert not coupling.row_marginal.flags.writeable
+    p[0] = 0.0  # the coupling holds its own copy
+    assert coupling.row_marginal[0] == 0.4
 
 
 def test_sinkhorn_single_cell():

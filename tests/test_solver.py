@@ -248,24 +248,6 @@ def test_fused_solver_diagnostics_and_result_dict():
     assert len(payload["objective_trace"]) == res.iterations
 
 
-def test_normalize_cost_flag():
-    rng = np.random.default_rng(53)
-    xs = PointSet(rng.normal(size=(5, 2)))
-    ys = PointSet(rng.normal(size=(5, 2)))
-    p = q = uniform_weights(5)
-    dx = pairwise_distances(xs, xs)
-    dy = pairwise_distances(ys, ys, kind="intra-target")
-    C = pairwise_distances(xs, ys).values
-    big = solve_fused_infoot(C * 1000.0, dx, dy, p, q,
-                             SolverConfig(lam=0.0, eps=1.0, bandwidth=0.5,
-                                          normalize_cost=True))
-    plain = solve_fused_infoot(C * 1000.0 / np.abs(C * 1000.0).max(),
-                               dx, dy, p, q,
-                               SolverConfig(lam=0.0, eps=1.0, bandwidth=0.5))
-    np.testing.assert_allclose(big.coupling.values, plain.coupling.values,
-                               atol=1e-10)
-
-
 def test_solver_rejects_bad_cross_cost():
     dx = pairwise_distances(X, X)
     dy = pairwise_distances(Y, Y, kind="intra-target")
