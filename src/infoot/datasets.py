@@ -60,9 +60,9 @@ class GeneratorConfig:
         if self.identity and self.target_sizes is not None \
                 and self.target_sizes != sizes:
             raise ValueError("identity targets copy the source sizes")
-        if self.spread < 0 or self.separation <= 0:
+        if not (self.spread >= 0 and self.separation > 0):
             raise ValueError("spread must be >= 0 and separation > 0")
-        if self.outliers < 0 or self.outlier_scale <= 0:
+        if not (self.outliers >= 0 and self.outlier_scale > 0):
             raise ValueError("outliers must be >= 0 with positive scale")
 
     @property
@@ -155,7 +155,7 @@ def class_conditional_cost(points: PointSet,
     """
     if points.labels is None:
         raise ValueError("class-conditional cost needs labeled points")
-    if penalty < 0:
+    if not penalty >= 0:
         raise ValueError("penalty must be nonnegative")
     d = pairwise_distances(points, points).values
     mismatch = points.labels[:, None] != points.labels[None, :]

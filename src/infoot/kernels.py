@@ -46,6 +46,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _plan_values(plan) -> np.ndarray:
+    """The float array behind a plan or score matrix, or behind ``plan`` itself."""
+    return np.asarray(getattr(plan, "values", plan), dtype=float)
+
+
 def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (m, d).
 
@@ -117,11 +122,11 @@ class KernelGram:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"Gram matrix must be square, got shape {vals.shape}")
-        if self.bandwidth <= 0 or self.scale <= 0:
+        if not (self.bandwidth > 0 and self.scale > 0):
             raise ValueError("bandwidth and scale must be positive")
         # Mathematically entries lie in (0, 1]; tiny bandwidths may underflow
         # to exact zero, which downstream division guards handle.
-        if np.any(vals < 0) or np.any(vals > 1.0):
+        if not np.all((vals >= 0) & (vals <= 1.0)):
             raise ValueError("Gram entries must lie in [0, 1]")
         if np.any(np.diag(vals) != 1.0):
             raise ValueError("Gram diagonal must be exactly 1")
@@ -140,8 +145,8 @@ class KdeModel:
 
     ``marginal_x[i]`` is the row sum of ``gram_x`` and estimates the source
     marginal density at sample ``i`` up to a constant; same for the target.
-    The distance matrices are retained so projections can re-kernelize at a
-    different bandwidth while reusing the fitted scales.
+    Projections read only the distance matrices and the fitted scales, and
+    kernelize them at the projection bandwidth.
     """
 
     gram_x: KernelGram
@@ -156,7 +161,7 @@ class KdeModel:
         my = np.asarray(self.marginal_y, dtype=float)
         if mx.shape != (self.gram_x.n,) or my.shape != (self.gram_y.n,):
             raise ValueError("marginal vectors must match Gram sizes")
-        if np.any(mx <= 0) or np.any(my <= 0):
+        if not (np.all(mx > 0) and np.all(my > 0)):
             raise ValueError("marginal densities must be strictly positive")
         object.__setattr__(self, "marginal_x", _readonly(mx))
         object.__setattr__(self, "marginal_y", _readonly(my))
@@ -217,20 +222,39 @@ def estimate_scale(d: DistanceMatrix) -> float:
 
 def gaussian_kernel(values: np.ndarray, h: float, sigma: float) -> np.ndarray:
     """Entrywise ``exp(-d^2 / (2 h^2 sigma^2))`` without normalization."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"scale must be positive, got {sigma}")
     d = np.asarray(values, dtype=float)
-    return np.exp(-(d * d) / (2.0 * h * h * sigma * sigma))
+    return _squared_kernel(d * d, h, sigma)
+
+
+def _squared_kernel(d2: np.ndarray, h: float, sigma: float) -> np.ndarray:
+    """:func:`gaussian_kernel` of the squared distances ``d2``, which it
+    overwrites.
+
+    Working in place saves two temporaries the size of ``d2``, and
+    ``d2 / -denom`` has the bits of ``-d2 / denom``. A zero distance has
+    kernel exactly 1 at every positive bandwidth. When ``2 h^2 sigma^2``
+    underflows to zero, the kernel is its small-bandwidth limit: 1 at zero
+    distance and 0 elsewhere.
+    """
+    denom = 2.0 * h * h * sigma * sigma
+    if denom == 0.0:
+        return (d2 == 0.0).astype(float)
+    d2 /= -denom
+    return np.exp(d2, out=d2)
 
 
 def gaussian_gram(d: DistanceMatrix, h: float, sigma: float) -> KernelGram:
-    """Gaussian kernel Gram matrix of an intra-domain distance matrix."""
+    """Gaussian kernel Gram matrix of an intra-domain distance matrix.
+
+    Its diagonal is exactly 1, the kernel of the zero self-distances.
+    """
     if not d.is_intra:
         raise ValueError("Gram construction needs an intra-domain matrix")
     vals = gaussian_kernel(d.values, h, sigma)
-    np.fill_diagonal(vals, 1.0)
     return KernelGram(vals, bandwidth=float(h), scale=float(sigma))
 
 
@@ -264,7 +288,7 @@ def joint_density(model: KdeModel, plan) -> np.ndarray:
     pairs, i.e. the KDE joint induced by weighting sample pairs with the
     transport plan.
     """
-    g = np.asarray(getattr(plan, "values", plan), dtype=float)
+    g = _plan_values(plan)
     if g.shape != (model.n, model.m):
         raise ValueError(f"plan shape {g.shape} does not match model "
                          f"({model.n}, {model.m})")

@@ -24,7 +24,7 @@ from ._parallel import parallel_map
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        class_conditional_cost, gen_clusters)
-from .kernels import KdeModel, _euclidean, pairwise_distances
+from .kernels import KdeModel, _euclidean, _plan_values, pairwise_distances
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -83,11 +83,11 @@ class ExperimentSpec:
             raise ValueError(f"scenario must be one of {SCENARIOS}, "
                              f"got {self.scenario!r}")
         grid = tuple(float(h) for h in self.bandwidth_grid)
-        if not grid or any(h <= 0 for h in grid):
+        if not grid or not all(h > 0 for h in grid):
             raise ValueError("bandwidth_grid must be nonempty with positive "
                              "entries")
         object.__setattr__(self, "bandwidth_grid", grid)
-        if self.class_penalty < 0:
+        if not self.class_penalty >= 0:
             raise ValueError("class_penalty must be nonnegative")
 
     @property
@@ -208,7 +208,7 @@ class EvalReport:
             if key.startswith(_FRACTION_PREFIXES) \
                     and not -1e-12 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"metric {key!r}={value} outside [0, 1]")
-        if self.wall_time < 0:
+        if not self.wall_time >= 0:
             raise ValueError("wall_time must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -270,7 +270,7 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
     Mass touching outlier samples (id < 0) counts toward the total but can
     never be coherent, so heavy outlier attraction lowers the score.
     """
-    g = np.asarray(getattr(plan, "values", plan), dtype=float)
+    g = _plan_values(plan)
     source_ids = np.asarray(source_ids)
     target_ids = np.asarray(target_ids)
     src_classes = np.unique(source_ids[source_ids >= 0])
@@ -297,7 +297,7 @@ def precision_at_k(scores, query_labels, target_labels,
     Ranking sorts by descending score with ties resolved toward the lower
     target index (stable sort), so results do not depend on sort internals.
     """
-    vals = np.asarray(getattr(scores, "values", scores), dtype=float)
+    vals = _plan_values(scores)
     query_labels = np.asarray(query_labels)
     target_labels = np.asarray(target_labels)
     if vals.ndim != 2 or vals.shape != (query_labels.size, target_labels.size):
@@ -506,7 +506,7 @@ def circular_validation(source: PointSet, target: PointSet,
     if source.labels is None:
         raise ValueError("circular validation needs labeled source points")
     grid = sorted(float(h) for h in grid)
-    if not grid or grid[0] <= 0:
+    if not grid or not all(h > 0 for h in grid):
         raise ValueError("bandwidth grid must be nonempty with positive "
                          "entries")
     projection = projection or ProjectionRequest()

@@ -67,9 +67,9 @@ class PointSet:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-            if np.any(w < 0):
+            if not np.all(w >= 0):
                 raise ValueError("weights must be nonnegative")
-            if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
                 raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", _readonly(w))
 

@@ -11,6 +11,12 @@ defined for any query point, not just training samples, degrades
 gracefully around outliers, and recovers the barycentric map as its
 bandwidth shrinks. The same weights double as similarity scores for
 retrieval.
+
+Every query form takes one path. A training index, the coordinates of
+an unseen point and a row of distances each become distances to the
+source samples, and one step turns distance rows into weights. So a
+duplicate of a training point gets that point's weights, bit for bit, at
+any positive ``h_proj``.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import numpy as np
 
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
-from .kernels import KdeModel, _euclidean, gaussian_kernel
+from .kernels import (KdeModel, _euclidean, _plan_values, _squared_kernel,
+                      gaussian_kernel)
 from .points import PointSet
-from .solver import JOINT_FLOOR, _plan_values
+from .solver import JOINT_FLOOR
 
 __all__ = [
     "ProjectionRequest",
@@ -54,7 +61,7 @@ class ProjectionRequest:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
+        if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError("projection bandwidth must be positive")
 
 
@@ -88,19 +95,9 @@ def barycentric_project(coupling, targets: PointSet) -> np.ndarray:
     if g.shape[1] != targets.n:
         raise ValueError(f"plan has {g.shape[1]} columns for {targets.n} targets")
     row_mass = g.sum(axis=1)
-    if np.any(row_mass <= 0):
+    if not np.all(row_mass > 0):
         raise ValueError("plan has a zero-mass row; cannot project it")
     return (g @ targets.points) / row_mass[:, None]
-
-
-def _target_side(model: KdeModel, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Target Gram and its row sums at bandwidth ``h`` (reusing the fitted scale)."""
-    if h == model.bandwidth:
-        ky = model.gram_y.values
-    else:
-        ky = gaussian_kernel(model.dist_y.values, h, model.gram_y.scale)
-        np.fill_diagonal(ky, 1.0)
-    return ky, ky.sum(axis=1)
 
 
 def _checked_plan(model: KdeModel, coupling, targets: PointSet,
@@ -113,69 +110,65 @@ def _checked_plan(model: KdeModel, coupling, targets: PointSet,
     if targets.n != model.m:
         raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
     h = model.bandwidth if h_proj is None else float(h_proj)
-    if h <= 0:
+    if not h > 0:
         raise ValueError("projection bandwidth must be positive")
     return g, h
 
 
-def _index_block(model: KdeModel, idx: np.ndarray, h: float) -> np.ndarray:
-    """Kernel rows of in-sample queries ``idx`` against the source samples."""
-    bad = (idx < 0) | (idx >= model.n)
-    if bad.any():
-        raise ValueError(f"in-sample index {idx[bad][0]} out of range "
-                         f"[0, {model.n})")
-    if h == model.bandwidth:
-        return model.gram_x.values[idx]
-    kq = gaussian_kernel(model.dist_x.values[idx], h, model.gram_x.scale)
-    kq[np.arange(idx.size), idx] = 1.0
-    return kq
+def _distance_rows(model: KdeModel, queries,
+                   source_points: PointSet | None) -> np.ndarray:
+    """Distances (q, n) from index or coordinate queries to the source samples.
 
-
-def _distance_block(model: KdeModel, d: np.ndarray, h: float) -> np.ndarray:
-    """Kernel rows of queries at distances ``d`` (q, n) from the source samples.
-
-    Each row's smallest squared distance is subtracted in the exponent, so
-    its nearest sample gets kernel 1. The weights do not change when a row
-    is scaled, and a query far from every sample keeps a row that does not
-    underflow to all zeros.
+    An index or 1-d integer array selects rows of the model's source
+    distances; anything else is coordinate rows, measured against
+    ``source_points``.
     """
-    d2 = d * d
-    d2 -= d2.min(axis=1, keepdims=True)
-    sigma = model.gram_x.scale
-    return np.exp(-d2 / (2.0 * h * h * sigma * sigma))
-
-
-def _coordinate_block(model: KdeModel, x: np.ndarray, h: float,
-                      source_points: PointSet | None) -> np.ndarray:
-    """Kernel rows of coordinate queries ``x`` (q, d) against the source samples."""
+    arr = np.asarray(queries)
+    if arr.dtype == bool:
+        raise ValueError("queries must be integer indices or coordinate rows, "
+                         "not bool")
+    if arr.size == 0:
+        raise ValueError("query batch is empty")
+    if arr.ndim <= 1 and np.issubdtype(arr.dtype, np.integer):
+        idx = arr.reshape(-1)
+        bad = (idx < 0) | (idx >= model.n)
+        if bad.any():
+            raise ValueError(f"in-sample index {idx[bad][0]} out of range "
+                             f"[0, {model.n})")
+        return model.dist_x.values[idx]
     if source_points is None:
         raise ValueError(
             "out-of-sample query on a domain without coordinates: supply "
             "source_points for the euclidean metric, or query_distances "
             "holding the distances from the query to every training point")
+    x = np.atleast_2d(arr.astype(float))
     if x.shape[1] != source_points.d:
         raise ValueError(f"query has {x.shape[1]} features, source has "
                          f"{source_points.d}")
     if source_points.n != model.n:
         raise ValueError(f"source_points has {source_points.n} rows, model "
                          f"expects {model.n}")
-    return _distance_block(model, _euclidean(x, source_points.points), h)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query coordinates must be finite")
+    return _euclidean(x, source_points.points)
 
 
-def _query_array(queries) -> np.ndarray:
-    arr = np.asarray(queries)
-    if arr.dtype == bool:
-        raise ValueError("queries must be integer indices or coordinate rows, "
-                         "not bool")
-    return arr
-
-
-def _weights(model: KdeModel, g: np.ndarray, h: float, kq: np.ndarray,
+def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
              normalize: bool) -> np.ndarray:
-    """Importance weights of the queries whose source kernel rows are ``kq``."""
-    ky, my = _target_side(model, h)
+    """Importance weights of the queries at distances ``d`` (q, n) from the
+    source samples.
+
+    Each row's smallest squared distance is subtracted in the exponent, so
+    its nearest sample gets kernel exactly 1. That leaves the weights as
+    they are, and a query far from every sample keeps a row that does not
+    underflow to all zeros.
+    """
+    d2 = d * d
+    d2 -= d2.min(axis=1, keepdims=True)
+    kq = _squared_kernel(d2, h, model.gram_x.scale)
+    ky = gaussian_kernel(model.dist_y.values, h, model.gram_y.scale)
     joint = np.maximum((kq @ g) @ ky.T, JOINT_FLOOR)
-    weights = joint / np.outer(kq.sum(axis=1), my)
+    weights = joint / np.outer(kq.sum(axis=1), ky.sum(axis=1))
     if normalize:
         weights /= weights.sum(axis=1, keepdims=True)
     return weights
@@ -196,27 +189,25 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
     probability row.
     """
     g, h = _checked_plan(model, coupling, targets, h_proj)
-    query = _query_array(query)
+    query = np.asarray(query)
     if query.ndim == 0 and np.issubdtype(query.dtype, np.integer):
-        kq = _index_block(model, query.reshape(1), h)
-    elif query_distances is not None:
+        d = _distance_rows(model, query, source_points)
+    elif query_distances is None:
+        d = _distance_rows(model, query.reshape(1, -1), source_points)
+    else:
         d = np.asarray(query_distances, dtype=float)
         if d.shape != (model.n,):
             raise ValueError(f"query distances must have shape ({model.n},)")
-        if np.any(d < 0):
-            raise ValueError("query distances must be nonnegative")
-        kq = _distance_block(model, d.reshape(1, -1), h)
-    else:
-        kq = _coordinate_block(model, query.astype(float).reshape(1, -1), h,
-                               source_points)
-    return _weights(model, g, h, kq, normalize)[0]
+        if not np.all(np.isfinite(d) & (d >= 0)):
+            raise ValueError("query distances must be finite and nonnegative")
+    return _weights(model, g, h, d.reshape(1, -1), normalize)[0]
 
 
 def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
                       h_proj: float | None = None, *,
                       source_points: PointSet | None = None,
                       normalize: bool = True) -> ScoreMatrix:
-    """Batch :func:`importance_weights`: one (q, n) kernel block for all queries.
+    """Batch :func:`importance_weights`: one (q, n) distance block for all queries.
 
     ``queries`` is ``None`` (every training source point), an index or
     1-d integer array of them, or coordinate rows of unseen points (then
@@ -224,18 +215,9 @@ def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
     query scored alone.
     """
     g, h = _checked_plan(model, coupling, targets, h_proj)
-    if queries is None:
-        kq = _index_block(model, np.arange(model.n), h)
-    else:
-        arr = _query_array(queries)
-        if arr.size == 0:
-            raise ValueError("query batch is empty")
-        if arr.ndim <= 1 and np.issubdtype(arr.dtype, np.integer):
-            kq = _index_block(model, arr.reshape(-1), h)
-        else:
-            kq = _coordinate_block(model, np.atleast_2d(arr.astype(float)), h,
-                                   source_points)
-    return ScoreMatrix(_weights(model, g, h, kq, normalize), normalized=normalize)
+    d = model.dist_x.values if queries is None \
+        else _distance_rows(model, queries, source_points)
+    return ScoreMatrix(_weights(model, g, h, d, normalize), normalized=normalize)
 
 
 def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,

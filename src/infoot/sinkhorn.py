@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _readonly
+from .kernels import _plan_values, _readonly
 
 __all__ = [
     "CouplingMatrix",
@@ -52,9 +52,9 @@ def check_marginal(w, name: str = "marginal") -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise ValueError(f"{name} must be a nonempty vector")
-    if np.any(w <= 0):
+    if not np.all(w > 0):
         raise ValueError(f"{name} entries must be strictly positive")
-    if abs(w.sum() - 1.0) > MASS_TOL:
+    if not abs(w.sum() - 1.0) <= MASS_TOL:
         raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
     return w
 
@@ -81,13 +81,13 @@ class CouplingMatrix:
         if vals.shape != (p.size, q.size):
             raise ValueError(f"plan shape {vals.shape} does not match marginals "
                              f"({p.size}, {q.size})")
-        if np.any(vals < 0):
+        if not np.all(vals >= 0):
             raise ValueError("plan entries must be nonnegative")
-        if abs(vals.sum() - 1.0) > MASS_TOL:
+        if not abs(vals.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"plan mass must be 1, got {vals.sum()!r}")
         if self.strict:
             err = self.marginal_violation(vals, p, q)
-            if err[0] > MARGINAL_TOL or err[1] > MARGINAL_TOL:
+            if not max(err) <= MARGINAL_TOL:
                 raise ValueError(f"plan violates marginals: max row dev {err[0]:.3e}, "
                                  f"max col dev {err[1]:.3e}")
         object.__setattr__(self, "values", _readonly(vals))
@@ -188,11 +188,11 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9
         raise ValueError(f"cost matrix must be 2-d, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix contains non-finite entries")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     p = check_marginal(p, "row marginal")
     q = check_marginal(q, "col marginal")
@@ -301,7 +301,7 @@ def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
 
 def entropy(plan) -> float:
     """Plan entropy ``-sum(g * log(g))`` with the ``0 log 0 = 0`` convention."""
-    g = np.asarray(getattr(plan, "values", plan), dtype=float)
+    g = _plan_values(plan)
     return float(-(g * np.log(np.where(g == 0, 1.0, g))).sum())
 
 

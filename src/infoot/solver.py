@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .kernels import DistanceMatrix, KdeModel, build_kde_model, joint_density
+from .kernels import (DistanceMatrix, KdeModel, _plan_values, build_kde_model,
+                      joint_density)
 from .sinkhorn import (MARGINAL_TOL, CouplingMatrix, SinkhornReport,
                        check_marginal, entropy, sinkhorn)
 
@@ -58,14 +59,15 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.eps <= 0 or self.bandwidth <= 0:
-            raise ValueError("eps and bandwidth must be positive")
-        if self.outer_iters < 1 or self.inner_max_iter < 1:
+        # Each check is written so that NaN fails it.
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        for name in ("eps", "bandwidth", "outer_tol", "inner_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not (self.outer_iters >= 1 and self.inner_max_iter >= 1):
             raise ValueError("iteration limits must be at least 1")
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -109,10 +111,6 @@ class AlignmentResult:
         }
 
 
-def _plan_values(plan) -> np.ndarray:
-    return np.asarray(getattr(plan, "values", plan), dtype=float)
-
-
 def mutual_information(model: KdeModel, plan) -> float:
     """KDE-estimated mutual information of a transport plan.
 
@@ -135,14 +133,9 @@ def mi_gradient(model: KdeModel, plan) -> np.ndarray:
     shifts every entry equally and Sinkhorn is invariant to cost shifts.
     """
     g = _plan_values(plan)
-    if g.shape != (model.n, model.m):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({model.n}, {model.m})")
-    kx = model.gram_x.values
-    ky = model.gram_y.values
-    joint = np.maximum(kx @ g @ ky.T, JOINT_FLOOR)
+    joint = np.maximum(joint_density(model, g), JOINT_FLOOR)
     log_term = np.log(joint / np.outer(model.marginal_x, model.marginal_y))
-    linear_term = kx @ (g / joint) @ ky.T
+    linear_term = model.gram_x.values @ (g / joint) @ model.gram_y.values.T
     return log_term + linear_term
 
 

@@ -122,6 +122,13 @@ def test_exit_1_without_out_dir(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
+def test_exit_1_on_nan_override(tmp_path, capsys):
+    spec = _write_spec(tmp_path, _spec_data())
+    out = tmp_path / "run"
+    assert main(["solve", spec, "--epsilon", "nan", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "eps must be positive" in err
+
 def test_exit_2_on_nonconvergence_still_writes(tmp_path):
     # one outer iteration with a starved inner budget cannot converge
     data = _spec_data(solver={"lam": 100.0, "bandwidth": 0.5,

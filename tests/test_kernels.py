@@ -130,6 +130,23 @@ def test_gram_underflows_to_zero_at_tiny_bandwidth():
     assert np.all(off == 0.0)
 
 
+def test_kernel_takes_its_limit_when_the_scale_underflows():
+    # 2 h^2 sigma^2 is zero in float64 at h = 1e-170: the kernel is 1 at
+    # zero distance, duplicates included, and 0 elsewhere, with no warning.
+    d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    k = gaussian_kernel(d, 1e-170, 1.0)
+    np.testing.assert_array_equal(k, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    gram = gaussian_gram(DistanceMatrix(d, kind="intra-source"), 1e-170, 1.0)
+    np.testing.assert_array_equal(gram.values, k)
+    before = d.copy()
+    gaussian_kernel(d, 0.5, 1.0)  # computed in a new array, not in d
+    np.testing.assert_array_equal(d, before)
+    with pytest.raises(ValueError, match="positive"):
+        gaussian_kernel(d, float("nan"), 1.0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        KernelGram(np.array([[1.0, np.nan], [np.nan, 1.0]]), bandwidth=0.5,
+                   scale=1.0)
+
 def test_kernel_gram_validation():
     with pytest.raises(ValueError):  # diagonal must be one
         KernelGram(np.array([[0.9, 0.1], [0.1, 0.9]]), bandwidth=0.5, scale=1.0)

@@ -57,6 +57,10 @@ def test_pointset_validation():
         PointSet(np.zeros((2, 2)), weights=np.array([-0.1, 1.1]))
 
 
+def test_pointset_rejects_nan_weights():
+    with pytest.raises(ValueError, match="nonnegative"):
+        PointSet(np.zeros((3, 2)), weights=np.array([np.nan, 0.5, 0.5]))
+
 def test_csv_round_trip_with_labels(tmp_path):
     rng = np.random.default_rng(0)
     ps = PointSet(rng.normal(size=(6, 3)), labels=np.array([0, 0, 1, 1, 2, 2]))

@@ -103,6 +103,40 @@ def test_query_distances_path_matches_coordinates():
     np.testing.assert_allclose(w_dist, w_coords, atol=1e-15)
 
 
+@pytest.mark.parametrize("h_proj", [H, 0.3, 1e-170])
+def test_query_forms_give_equal_weights(h_proj):
+    # An in-sample index, the same point as coordinates and its distance
+    # row all take one path, so their weights agree bit for bit, even at a
+    # bandwidth whose squared scale underflows to zero.
+    model = _model()
+    i = 2
+    by_index = importance_weights(model, PLAN, i, Y, h_proj)
+    by_coords = importance_weights(model, PLAN, X.points[i], Y, h_proj,
+                                   source_points=X)
+    by_dist = importance_weights(model, PLAN, X.points[i], Y, h_proj,
+                                 query_distances=model.dist_x.values[i])
+    assert np.all(np.isfinite(by_index)) and np.all(by_index > 0)
+    assert np.array_equal(by_coords, by_index)
+    assert np.array_equal(by_dist, by_index)
+    batch = importance_scores(model, PLAN, None, Y, h_proj).values
+    coords = importance_scores(model, PLAN, X.points, Y, h_proj,
+                               source_points=X).values
+    assert np.array_equal(coords, batch)
+
+
+def test_nan_inputs_rejected():
+    model = _model()
+    with pytest.raises(ValueError, match="bandwidth"):
+        ProjectionRequest(bandwidth=float("nan"))
+    with pytest.raises(ValueError, match="bandwidth"):
+        importance_weights(model, PLAN, 0, Y, h_proj=float("nan"))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        importance_weights(model, PLAN, np.array([0.1, 0.2]), Y,
+                           query_distances=[np.nan, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        importance_scores(model, PLAN, np.array([[np.nan, 0.0]]), Y,
+                          source_points=X)
+
 def test_out_of_sample_needs_source_info():
     with pytest.raises(ValueError, match="supply"):
         importance_weights(_model(), PLAN, np.array([0.1, 0.2]), Y)

@@ -206,6 +206,15 @@ def test_coupling_matrix_invariants():
     assert abs(relaxed.values.sum() - 1.0) < 1e-15
 
 
+def test_nan_fails_marginal_and_plan_checks():
+    with pytest.raises(ValueError, match="strictly positive"):
+        check_marginal([np.nan, 0.5, 0.5])
+    p = q = uniform_weights(2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CouplingMatrix(np.full((2, 2), np.nan), p, q)
+    with pytest.raises(ValueError, match="eps"):
+        sinkhorn(C3, P3, Q3, eps=np.nan)
+
 def test_entropy_against_direct_sum():
     g = np.array([[0.2, 0.1], [0.05, 0.25], [0.25, 0.15]])
     direct = -sum(v * np.log(v) for v in g.ravel())

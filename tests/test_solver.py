@@ -118,6 +118,12 @@ def test_solver_config_validation():
     assert cfg.lam == 100.0 and cfg.eps == 1.0
 
 
+@pytest.mark.parametrize("name", ["lam", "eps", "bandwidth", "outer_tol",
+                                  "inner_tol"])
+def test_solver_config_rejects_nan(name):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: float("nan")})
+
 def test_plain_solver_traces_and_feasibility():
     rng = np.random.default_rng(31)
     xs = PointSet(rng.normal(size=(9, 2)))

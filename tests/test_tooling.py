@@ -1,16 +1,22 @@
-"""Guards for the benchmark's tracing, which patches library names from outside.
+"""Guards for code that lives outside the library but runs against it.
 
 ``perfbench/spans.py`` replaces functions under the module attributes their
 callers look up. A rename or removal in the library would otherwise surface
 only when the traced benchmark runs; these checks catch it in the unit tests.
+README's Quick start block is run as written and its printed values checked
+against the values its comments promise.
 """
 
 import importlib
+import os
+import re
+import subprocess
 import sys
 import types
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans(monkeypatch) -> types.ModuleType:
@@ -31,3 +37,17 @@ def test_traced_names_exist(monkeypatch):
     for mod in spans._PARALLEL_USERS:
         assert hasattr(importlib.import_module(mod), "parallel_map"), mod
     assert callable(importlib.import_module("infoot._parallel").thread_count)
+
+
+def test_readme_quick_start_prints_what_it_promises():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    promised = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert promised == ["True", "1.0", "(50, 2)"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == promised
