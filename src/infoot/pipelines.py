@@ -285,9 +285,15 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
         for b, cb in enumerate(tgt_classes):
             mass[a, b] = rows[:, target_ids == cb].sum()
     # Cluster counts are tiny, so exact enumeration is the simplest oracle.
-    best = max(sum(mass[i, perm[i]] for i in range(k))
-               for perm in permutations(range(k)))
-    return float(best / g.sum())
+    best = max(permutations(range(k)), key=lambda perm: mass[range(k), perm].sum())
+    off = np.ones((k, k), dtype=bool)
+    off[range(k), best] = False
+    # The mass off the pairing is summed on its own rather than taken as
+    # the total minus the paired mass, so a plan whose off-pairing mass is
+    # below rounding scores exactly 1.
+    outliers = (g[source_ids < 0].sum()
+                + g[np.ix_(source_ids >= 0, target_ids < 0)].sum())
+    return float(1.0 - (mass[off].sum() + outliers) / g.sum())
 
 
 def precision_at_k(scores, query_labels, target_labels,

@@ -2,16 +2,20 @@
 
 :func:`sinkhorn` minimizes ``<plan, C> - eps * H(plan)`` over the
 transportation polytope, always in the log domain so small ``eps`` does not
-underflow. It starts with alternating diagonal scaling (Sinkhorn sweeps).
-Sweeps converge linearly at a rate that degrades as the kernel
-``exp(-C / eps)`` grows ill-conditioned, and on such problems they stall
-for thousands of iterations. A solve that has not converged after
+underflow. It starts with alternating diagonal scaling (Sinkhorn sweeps),
+from zero log-scalings or, given ``init``, from a target potential such as
+the previous solve's in a sequence of nearby costs (Thornton & Cuturi,
+arXiv:2206.07630). Sweeps converge linearly at a rate that degrades as the
+kernel ``exp(-C / eps)`` grows ill-conditioned, and on such problems they
+stall for thousands of iterations. A solve that has not converged after
 ``NEWTON_WARMUP`` sweeps is therefore finished by a Sinkhorn-Newton polish
 (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635): damped Newton steps on
 the dual in the log-scalings, which converge quadratically near the
-solution. :func:`exact_assignment` is an O(n^3) Hungarian solver for the
-uniform equal-size special case, kept mainly as an independent oracle for
-tests.
+solution. The warm-up is short: a warm-started solve mostly converges
+within a few sweeps, and for one that does not, Newton steps are the
+faster way to finish. :func:`exact_assignment` is an O(n^3) Hungarian
+solver for the uniform equal-size special case, kept mainly as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ __all__ = [
 MARGINAL_TOL = 1e-8
 MASS_TOL = 1e-10
 _ASSIGNMENT_MAX_N = 64
-# Sinkhorn sweeps a solve gets before Newton steps take over. Well-conditioned
-# solves converge within it and never reach the polish.
-NEWTON_WARMUP = 50
+# Sinkhorn sweeps a solve gets before Newton steps take over. Warm-started
+# and well-conditioned solves converge within it and never reach the polish.
+NEWTON_WARMUP = 5
 # Armijo sufficient-increase constant and how often a step may be halved.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
@@ -116,10 +120,13 @@ class SinkhornReport:
     potential_source: np.ndarray
     potential_target: np.ndarray
     wall_time: float = 0.0
+    # Newton steps of the polish, already counted in ``iterations``.
+    newton_steps: int = 0
 
     def __post_init__(self):
-        if self.violation < 0:
-            raise ValueError("violation must be nonnegative")
+        # Written so that NaN fails it.
+        if not self.violation >= 0:
+            raise ValueError(f"violation must be nonnegative, got {self.violation}")
 
 
 def logsumexp(X, axis: int) -> np.ndarray:
@@ -134,14 +141,14 @@ def logsumexp(X, axis: int) -> np.ndarray:
     return out.squeeze(axis)
 
 
-def sinkhorn_log_kernel(S, p, q, max_iter, tol):
+def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
     """Run stabilized Sinkhorn scaling on the log-kernel ``S``.
 
     Alternating potential updates with
-    ``log(plan) = a[:, None] + b[None, :] + S``, stopped on the L1
-    violation of both marginals. Returns
-    ``(a, b, iterations, violation, converged)`` where ``a`` and ``b`` are
-    the log-domain scalings.
+    ``log(plan) = a[:, None] + b[None, :] + S``, starting from the target
+    log-scaling ``b`` (zero when omitted) and stopped on the L1 violation
+    of both marginals. Returns ``(a, b, iterations, violation, converged)``
+    where ``a`` and ``b`` are the log-domain scalings.
     """
     S = np.asarray(S, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -149,11 +156,12 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol):
     logp = np.log(p)
     logq = np.log(q)
     a = np.zeros(S.shape[0])
-    b = np.zeros(S.shape[1])
     viol = np.inf
     # The row log-sum-exp that measures the row violation of one iterate is
     # the one the next row update needs, so each iteration makes two passes.
-    row_lse = logsumexp(S, axis=1)
+    if b is None:
+        b = np.zeros(S.shape[1])
+    row_lse = logsumexp(S + b[None, :], axis=1)
     for it in range(1, max_iter + 1):
         a = logp - row_lse
         col_lse = logsumexp(S + a[:, None], axis=0)
@@ -167,20 +175,23 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol):
     return a, b, max_iter, float(viol), False
 
 
-def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9
-             ) -> tuple[CouplingMatrix, SinkhornReport]:
+def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
+             init=None) -> tuple[CouplingMatrix, SinkhornReport]:
     """Solve ``min <plan, C> - eps * H(plan)`` over couplings of ``p, q``.
 
     Iterates until the L1 violation of both marginals drops below ``tol`` or
     ``max_iter`` is hit; the latter is reported through the ``converged``
-    flag rather than an exception. The first ``NEWTON_WARMUP`` iterations
-    are log-domain Sinkhorn sweeps; a solve still unconverged after them
-    continues with damped Sinkhorn-Newton steps, each followed by an exact
-    scaling of the smaller side so the plan keeps unit mass. Newton steps
-    count toward ``max_iter`` and ``report.iterations`` like sweeps do.
-    Should backtracking find no Newton step that increases the dual (as
-    happens once rounding dominates), the rest of the budget goes back to
-    sweeps.
+    flag rather than an exception. ``init`` is an optional starting target
+    potential in cost units, as in ``report.potential_target``; passing the
+    potential of a solve on a nearby cost (a warm start) saves most of the
+    iterations, and ``None`` starts from zero. The first ``NEWTON_WARMUP``
+    iterations are log-domain Sinkhorn sweeps; a solve still unconverged
+    after them continues with damped Sinkhorn-Newton steps, each followed by
+    an exact scaling of the smaller side so the plan keeps unit mass. Newton
+    steps count toward ``max_iter`` and ``report.iterations`` like sweeps
+    do; ``report.newton_steps`` says how many there were. Should
+    backtracking find no Newton step that increases the dual (as happens
+    once rounding dominates), the rest of the budget goes back to sweeps.
     """
     start = time.perf_counter()
     C = np.ascontiguousarray(C, dtype=float)
@@ -200,19 +211,29 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9
         raise ValueError(f"cost shape {C.shape} does not match marginals "
                          f"({p.size}, {q.size})")
 
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != q.shape:
+            raise ValueError(f"init shape {init.shape} does not match the col "
+                             f"marginal ({q.size},)")
+        if not np.all(np.isfinite(init)):
+            raise ValueError("init contains non-finite entries")
+        init = init / eps
+
     S = np.ascontiguousarray(-C / eps)
     max_iter = int(max_iter)
     a, b, iters, viol, converged = sinkhorn_log_kernel(
-        S, p, q, min(max_iter, NEWTON_WARMUP), tol)
+        S, p, q, min(max_iter, NEWTON_WARMUP), tol, init)
+    newton_steps = 0
     if not converged and iters < max_iter:
+        swept = iters
         a, b, iters, viol, converged = _newton_polish(
             S, p, q, a, b, iters, max_iter, tol)
+        newton_steps = iters - swept
     if not converged and iters < max_iter:
-        # Sweeps resume from the polish's scalings: the kernel starts from
-        # b = 0, so shift the log-kernel by b instead.
-        a, db, more, viol, converged = sinkhorn_log_kernel(
-            S + b[None, :], p, q, max_iter - iters, tol)
-        b = b + db
+        # Sweeps resume from the polish's target scaling.
+        a, b, more, viol, converged = sinkhorn_log_kernel(
+            S, p, q, max_iter - iters, tol, b)
         iters += more
     plan = np.exp(a[:, None] + b[None, :] + S)
     # Feasibility strictness reflects the plan actually produced: a loose
@@ -228,6 +249,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9
         potential_source=eps * np.asarray(a),
         potential_target=eps * np.asarray(b),
         wall_time=time.perf_counter() - start,
+        newton_steps=newton_steps,
     )
     return coupling, report
 
@@ -253,50 +275,84 @@ def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
     n, m = S.shape
     logq = np.log(q)
     log_nm = math.log(n * m)
-    plan = np.exp(S + a[:, None] + b[None, :])
+    # The plan is rebuilt in place: at n = m = 300 each n x m temporary is
+    # 0.7 MB. It takes the memory layout of S, which is transposed when the
+    # target side is the larger, so its sums round as on exp(S + a + b).
+    plan = np.empty_like(S)
+    np.add(S, a[:, None], out=plan)
+    plan += b[None, :]
+    np.exp(plan, out=plan)
     r, c = plan.sum(axis=1), plan.sum(axis=0)
     viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
     while iters < max_iter:
         gp, gq = p - r, q - c
-        # Eliminating the row block leaves a weighted graph Laplacian on the
-        # columns, singular along the gauge (a + t, b - t). The rank-one term
-        # gives that direction an eigenvalue of mean(c) and so pins
-        # sum(db) = 0, which the right-hand side already satisfies; with the
-        # ridge, the system is positive definite.
-        r_reg = r + _RIDGE * r.max()
-        scaled = plan / r_reg[:, None]
-        K = -(plan.T @ scaled)
-        K[np.diag_indices(m)] += c + _RIDGE * c.max()
-        K += c.mean() / m
-        db = np.linalg.solve(K, gq - scaled.T @ gp)
-        da = (gp - plan @ db) / r_reg
-        slope = float(gp @ da + gq @ db)
-        # Armijo on the dual's increase t * slope - sum(P * (expm1(D) - D))
-        # with D = t * (da_i + db_j), a form that stays exact for tiny steps,
-        # where two dual values would differ only in rounding. Where the
-        # plan has split into blocks with only underflowed entries between
-        # them, the ridge alone sets the step's length across blocks, and it
-        # can be huge: the first trial is cut so that the plan's mass cannot
-        # overflow, and backtracking goes on from there.
-        step = da[:, None] + db[None, :]
-        t = min(1.0, (_LOG_MAX - log_nm) / max(np.abs(step).max(), 1.0))
-        for _ in range(_MAX_HALVINGS):
-            D = t * step
-            curvature = float((plan * (np.expm1(D) - D)).sum())
-            if curvature <= (1.0 - _ARMIJO) * t * slope:
-                break
-            t *= 0.5
-        else:
+        da, db = _newton_direction(plan, r, c, gp, gq)
+        t = _armijo_step(plan, da, db, float(gp @ da + gq @ db), log_nm)
+        if t is None:
             return a, b, iters, viol, False
         a = a + t * da
         b = logq - logsumexp(S + a[:, None], axis=0)
         iters += 1
-        plan = np.exp(S + a[:, None] + b[None, :])
+        np.add(S, a[:, None], out=plan)
+        plan += b[None, :]
+        np.exp(plan, out=plan)
         r, c = plan.sum(axis=1), plan.sum(axis=0)
         viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
         if viol <= tol:
             return a, b, iters, viol, True
     return a, b, iters, viol, False
+
+
+def _newton_direction(plan, r, c, gp, gq):
+    """Newton direction ``(da, db)`` of the dual at ``plan``, whose row and
+    column sums are ``r`` and ``c`` and gradient ``(gp, gq)``.
+
+    The system is solved through its Schur complement on the columns; its
+    n x m and m x m temporaries are freed on return, before the caller's
+    line search allocates its own.
+    """
+    m = plan.shape[1]
+    # Eliminating the row block leaves a weighted graph Laplacian on the
+    # columns, singular along the gauge (a + t, b - t). The rank-one term
+    # gives that direction an eigenvalue of mean(c) and so pins
+    # sum(db) = 0, which the right-hand side already satisfies; with the
+    # ridge, the system is positive definite.
+    r_reg = r + _RIDGE * r.max()
+    scaled = plan / r_reg[:, None]
+    K = plan.T @ scaled
+    K *= -1
+    K[np.diag_indices(m)] += c + _RIDGE * c.max()
+    K += c.mean() / m
+    db = np.linalg.solve(K, gq - scaled.T @ gp)
+    da = (gp - plan @ db) / r_reg
+    return da, db
+
+
+def _armijo_step(plan, da, db, slope, log_nm):
+    """Backtracked length of the Newton step ``(da, db)``, or ``None``.
+
+    Armijo on the dual's increase t * slope - sum(P * (expm1(D) - D)) with
+    D = t * (da_i + db_j), a form that stays exact for tiny steps, where
+    two dual values would differ only in rounding. Where the plan has split
+    into blocks with only underflowed entries between them, the ridge alone
+    sets the step's length across blocks, and it can be huge: the first
+    trial is cut so that the plan's mass cannot overflow, and backtracking
+    goes on from there. ``None`` means no trial increased the dual enough.
+    The halvings share two n x m buffers, freed on return.
+    """
+    step = da[:, None] + db[None, :]
+    t = min(1.0, (_LOG_MAX - log_nm) / max(np.abs(step).max(), 1.0))
+    D = np.empty_like(step)
+    E = np.empty_like(step)
+    for _ in range(_MAX_HALVINGS):
+        np.multiply(step, t, out=D)
+        np.expm1(D, out=E)
+        E -= D
+        E *= plan
+        if float(E.sum()) <= (1.0 - _ARMIJO) * t * slope:
+            return t
+        t *= 0.5
+    return None
 
 
 def entropy(plan) -> float:

@@ -9,7 +9,9 @@ with ``J = K_X @ plan @ K_Y.T`` and ``Mx, My`` the Gram row sums. The
 solvers maximize this quantity (optionally traded off against a geometric
 cross cost) by mirror descent on the transport polytope: each outer step
 solves a Sinkhorn problem whose cost is the current linearization, with
-step size tied to ``1/eps``.
+step size tied to ``1/eps``. That cost moves little from one step to the
+next, so each solve after a fit's first starts from the previous step's
+target potential.
 """
 
 from __future__ import annotations
@@ -146,14 +148,18 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     objective_trace: list[float] = []
     mi_trace: list[float] = []
     inner_iters: list[int] = []
+    inner_newton: list[int] = []
     inner_ok = True
     outer_converged = False
     delta = math.inf
+    init = None
     for _ in range(cfg.outer_iters):
         cost = C - lam * mi_gradient(model, g)
-        coupling, rep = sinkhorn(cost, p, q, cfg.eps,
-                                 max_iter=cfg.inner_max_iter, tol=cfg.inner_tol)
+        coupling, rep = sinkhorn(cost, p, q, cfg.eps, max_iter=cfg.inner_max_iter,
+                                 tol=cfg.inner_tol, init=init)
+        init = rep.potential_target
         inner_iters.append(rep.iterations)
+        inner_newton.append(rep.newton_steps)
         inner_ok = inner_ok and rep.converged
         g_new = coupling.values
         delta = float(np.abs(g_new - g).sum())
@@ -183,6 +189,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
             "outer_converged": outer_converged,
             "final_plan_delta": delta,
             "inner_iterations": inner_iters,
+            "inner_newton_steps": inner_newton,
             "inner_converged": inner_ok,
             "objective_max_rise": max_rise,
             "lam_effective": lam,

@@ -140,6 +140,19 @@ def test_cluster_coherence_hand_computed():
         cluster_coherence(plan, source_ids, np.array([0, 2]) * 0)
 
 
+def test_cluster_coherence_is_one_without_off_pairing_mass():
+    # The off-pairing mass is below rounding, so the score is exactly 1,
+    # however the total's summation order rounds.
+    source_ids = np.array([0, 0, 1, 1])
+    target_ids = np.array([0, 1, 1, 0])
+    paired = source_ids[:, None] == target_ids[None, :]
+    plan = np.zeros((4, 4))
+    plan[paired] = [0.34, 0.17, 0.07, 0.06, 0.42, 0.46, 0.32, 0.38]
+    plan /= plan.sum()
+    plan[~paired] = 1e-90
+    assert cluster_coherence(plan, source_ids, target_ids) == 1.0
+
+
 def test_precision_at_k_hand_counted():
     scores = np.array([[0.9, 0.8, 0.1, 0.7],
                        [0.2, 0.2, 0.9, 0.1]])

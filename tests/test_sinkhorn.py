@@ -14,8 +14,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 import infoot
-from infoot import (CouplingMatrix, check_marginal, entropy, exact_assignment,
-                    sinkhorn, uniform_weights)
+from infoot import (CouplingMatrix, SinkhornReport, check_marginal, entropy,
+                    exact_assignment, sinkhorn, uniform_weights)
 from infoot.sinkhorn import NEWTON_WARMUP, sinkhorn_log_kernel
 
 C3 = np.array([[0.0, 1.0, 2.0],
@@ -214,6 +214,70 @@ def test_nan_fails_marginal_and_plan_checks():
         CouplingMatrix(np.full((2, 2), np.nan), p, q)
     with pytest.raises(ValueError, match="eps"):
         sinkhorn(C3, P3, Q3, eps=np.nan)
+
+
+def test_report_rejects_nan_violation():
+    with pytest.raises(ValueError, match="violation"):
+        SinkhornReport(1, float("nan"), True, np.zeros(1), np.zeros(1))
+
+
+def _polished_instance():
+    # The instance of the Newton polish test above: a cold solve reaches
+    # the polish.
+    rng = np.random.default_rng(7)
+    C = rng.uniform(0, 1, (6, 11))
+    p = rng.uniform(0.5, 1.5, 6)
+    p /= p.sum()
+    q = rng.uniform(0.5, 1.5, 11)
+    q /= q.sum()
+    return C, p, q, 0.02
+
+
+def test_warm_start_from_own_potential_is_immediate():
+    C, p, q, eps = _polished_instance()
+    cold, cold_rep = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
+    assert cold_rep.converged and cold_rep.newton_steps > 0
+    assert cold_rep.iterations == NEWTON_WARMUP + cold_rep.newton_steps
+    warm, warm_rep = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12,
+                              init=cold_rep.potential_target)
+    assert warm_rep.converged and warm_rep.iterations <= 2
+    np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-12)
+
+
+def test_warm_start_on_perturbed_cost_saves_iterations():
+    C, p, q, eps = _polished_instance()
+    _, rep = sinkhorn(C, p, q, eps, max_iter=20000)
+    noise = np.random.default_rng(8).uniform(0, 1, C.shape)
+    moved = C + 0.05 * noise
+    cold, cold_rep = sinkhorn(moved, p, q, eps, max_iter=20000)
+    warm, warm_rep = sinkhorn(moved, p, q, eps, max_iter=20000,
+                              init=rep.potential_target)
+    assert cold_rep.converged and warm_rep.converged
+    assert warm_rep.iterations < cold_rep.iterations
+    np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 50])
+def test_kernel_start_equals_shifted_log_kernel(max_iter):
+    C, p, q, eps = _polished_instance()
+    S = -C / eps
+    b0 = np.random.default_rng(9).normal(size=q.size)
+    a1, b1, it1, viol1, conv1 = sinkhorn_log_kernel(S, p, q, max_iter, 1e-12, b0)
+    a2, b2, it2, viol2, conv2 = sinkhorn_log_kernel(S + b0[None, :], p, q,
+                                                    max_iter, 1e-12)
+    assert (it1, conv1) == (it2, conv2)
+    np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b1, b2 + b0, rtol=0, atol=1e-12)
+    assert abs(viol1 - viol2) <= 1e-12
+
+
+@pytest.mark.parametrize("init", [np.zeros(2), np.zeros((3, 1)),
+                                  np.array([0.0, np.nan, 0.0]),
+                                  np.array([0.0, np.inf, 0.0])])
+def test_sinkhorn_rejects_bad_init(init):
+    with pytest.raises(ValueError, match="init"):
+        sinkhorn(C3, P3, Q3, eps=0.1, init=init)
+
 
 def test_entropy_against_direct_sum():
     g = np.array([[0.2, 0.1], [0.05, 0.25], [0.25, 0.15]])
