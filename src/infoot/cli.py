@@ -1,11 +1,12 @@
-"""Command-line entry point.
+"""Command-line entry point: ``infoot <command> <spec> [options]``.
 
-Every subcommand reads an experiment spec (JSON), applies flag overrides
+Every command reads an experiment spec (JSON), applies flag overrides
 and writes its artifacts into the output directory: ``report.json``
 always, plus ``coupling.csv``, ``projection.csv``, ``scores.csv`` and
-``plot_points.csv`` where the command produces them. Exit codes: 0 on
-success, 1 on validation errors, 2 when a solve did not converge (the
-artifacts are still written so the run can be inspected).
+``plot_points.csv`` where the command produces them. Every CSV goes
+through :func:`infoot.points.write_csv`. Exit codes: 0 on success, 1 on
+validation errors, 2 when a solve did not converge (the artifacts are
+still written so the run can be inspected).
 """
 
 from __future__ import annotations
@@ -23,43 +24,42 @@ from .pipelines import (EvalReport, ExperimentSpec, adaptation_pipeline,
                         load_spec, project_pipeline, retrieval_pipeline,
                         solve_pipeline, validate_bandwidth_pipeline,
                         version_stamp)
-from .points import save_points_csv
+from .points import save_points_csv, write_csv
 from .projection import ScoreMatrix
 
-_COMMANDS = ("generate", "solve", "project", "adapt", "retrieve",
-             "validate-bandwidth")
+_COMMANDS = {
+    "generate": "sample the scenario data and write it out",
+    "solve": "solve the alignment and write the coupling",
+    "project": "solve, then map source points into the target domain",
+    "adapt": "label-transfer run scored on held-out targets",
+    "retrieve": "cross-domain retrieval scored by precision at k",
+    "validate-bandwidth": "pick the kernel bandwidth by circular validation",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="infoot",
+        prog="infoot", usage="%(prog)s <command> <spec> [options]",
         description="Mutual-information regularized transport between "
-                    "sampled domains")
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "generate": "sample the scenario data and write it out",
-        "solve": "solve the alignment and write the coupling",
-        "project": "solve, then map source points into the target domain",
-        "adapt": "label-transfer run scored on held-out targets",
-        "retrieve": "cross-domain retrieval scored by precision at k",
-        "validate-bandwidth": "pick the kernel bandwidth by circular "
-                              "validation",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("spec", help="path to the experiment spec JSON")
-        cmd.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="override the mutual-information weight")
-        cmd.add_argument("--epsilon", type=float, default=None,
-                         help="override the entropic strength")
-        cmd.add_argument("--bandwidth", type=float, default=None,
-                         help="override the kernel bandwidth")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override generator and solver seeds")
-        cmd.add_argument("--mode", choices=("barycentric", "conditional"),
-                         default=None, help="override the projection mode")
-        cmd.add_argument("--out", default=None,
-                         help="output directory (overrides the spec)")
+                    "sampled domains",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<20}{text}" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("spec", help="path to the experiment spec JSON")
+    parser.add_argument("--lambda", dest="lam", type=float, default=None,
+                        help="override the mutual-information weight")
+    parser.add_argument("--epsilon", type=float, default=None,
+                        help="override the entropic strength")
+    parser.add_argument("--bandwidth", type=float, default=None,
+                        help="override the kernel bandwidth")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override generator and solver seeds")
+    parser.add_argument("--mode", choices=("barycentric", "conditional"),
+                        default=None, help="override the projection mode")
+    parser.add_argument("--out", default=None,
+                        help="output directory (overrides the spec)")
     return parser
 
 
@@ -84,28 +84,8 @@ def _apply_overrides(spec: ExperimentSpec,
                    projection=projection, out=out)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _write_matrix(path: Path, values) -> None:
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
-    with open(path, "w") as fh:
-        for row in vals:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_report(outdir: Path, report: EvalReport) -> None:
     (outdir / "report.json").write_text(report.to_json() + "\n")
-
-
-def _write_projection(path: Path, projected) -> None:
-    proj = np.atleast_2d(np.asarray(projected, dtype=float))
-    with open(path, "w") as fh:
-        fh.write("query_id," + ",".join(f"x{i}" for i in range(proj.shape[1]))
-                 + "\n")
-        for i, row in enumerate(proj):
-            fh.write(f"{i}," + ",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_plot_points(path: Path, sample: ClusterSample,
@@ -113,26 +93,16 @@ def _write_plot_points(path: Path, sample: ClusterSample,
     """One row per sample: domain, index, cluster id, coordinates and (for
     source rows, when available) the projected coordinates."""
     d = sample.source.d
-    proj = None if projected is None \
-        else np.atleast_2d(np.asarray(projected, dtype=float))
-    header = (["domain", "index", "cluster"]
-              + [f"x{i}" for i in range(d)]
-              + [f"proj_x{i}" for i in range(d)])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, (row, cid) in enumerate(zip(sample.source.points,
-                                           sample.source_ids)):
-            coords = ",".join(_fmt(v) for v in row)
-            if proj is not None and i < proj.shape[0]:
-                extra = ",".join(_fmt(v) for v in proj[i])
-            else:
-                extra = ",".join("" for _ in range(d))
-            fh.write(f"source,{i},{int(cid)},{coords},{extra}\n")
-        blank = ",".join("" for _ in range(d))
-        for j, (row, cid) in enumerate(zip(sample.target.points,
-                                           sample.target_ids)):
-            coords = ",".join(_fmt(v) for v in row)
-            fh.write(f"target,{j},{int(cid)},{coords},{blank}\n")
+    blank = [""] * d
+    proj = [] if projected is None else projected.tolist()
+    rows = [["source", i, cid, *row, *(proj[i] if i < len(proj) else blank)]
+            for i, (row, cid) in enumerate(zip(sample.source.points.tolist(),
+                                               sample.source_ids.tolist()))]
+    rows += [["target", j, cid, *row, *blank]
+             for j, (row, cid) in enumerate(zip(sample.target.points.tolist(),
+                                                sample.target_ids.tolist()))]
+    write_csv(path, rows, ["domain", "index", "cluster"]
+              + [f"x{i}" for i in range(d)] + [f"proj_x{i}" for i in range(d)])
 
 
 def _cmd_generate(spec: ExperimentSpec, outdir: Path) -> int:
@@ -156,13 +126,15 @@ def _write_fit(outdir: Path, report: EvalReport, fit, sample: ClusterSample,
     Returns the exit code: 2 when the solve did not converge.
     """
     _write_report(outdir, report)
-    _write_matrix(outdir / "coupling.csv", fit.result.coupling.values)
+    write_csv(outdir / "coupling.csv", fit.result.coupling.values)
     projected = None
     if isinstance(artifact, ScoreMatrix):
-        _write_matrix(outdir / "scores.csv", artifact.values)
+        write_csv(outdir / "scores.csv", artifact.values)
     elif artifact is not None:
-        projected = artifact
-        _write_projection(outdir / "projection.csv", projected)
+        projected = np.atleast_2d(artifact)
+        write_csv(outdir / "projection.csv",
+                  [[i, *row] for i, row in enumerate(projected.tolist())],
+                  ["query_id"] + [f"x{i}" for i in range(projected.shape[1])])
     _write_plot_points(outdir / "plot_points.csv", sample, projected)
     return 0 if fit.result.converged else 2
 

@@ -47,6 +47,9 @@ class GeneratorConfig:
     identity: bool = False
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         sizes = tuple(int(s) for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("sizes must be a nonempty tuple of counts >= 1")

@@ -14,6 +14,7 @@ meaningful across datasets of different units.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -238,12 +239,18 @@ def _squared_kernel(d2: np.ndarray, h: float, sigma: float) -> np.ndarray:
     ``d2 / -denom`` has the bits of ``-d2 / denom``. A zero distance has
     kernel exactly 1 at every positive bandwidth. When ``2 h^2 sigma^2``
     underflows to zero, the kernel is its small-bandwidth limit: 1 at zero
-    distance and 0 elsewhere.
+    distance and 0 elsewhere. When it is subnormal, large exponents
+    overflow to -inf, whose kernel 0 is the right value, so only the
+    overflow warning is silenced there.
     """
     denom = 2.0 * h * h * sigma * sigma
     if denom == 0.0:
         return (d2 == 0.0).astype(float)
-    d2 /= -denom
+    if denom < sys.float_info.min:
+        with np.errstate(over="ignore"):
+            d2 /= -denom
+    else:
+        d2 /= -denom
     return np.exp(d2, out=d2)
 
 

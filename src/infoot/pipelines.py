@@ -87,6 +87,7 @@ class ExperimentSpec:
             raise ValueError("bandwidth_grid must be nonempty with positive "
                              "entries")
         object.__setattr__(self, "bandwidth_grid", grid)
+        object.__setattr__(self, "class_penalty", float(self.class_penalty))
         if not self.class_penalty >= 0:
             raise ValueError("class_penalty must be nonnegative")
 
@@ -107,56 +108,41 @@ class ExperimentSpec:
         }
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(data) - allowed)
+def _section(name: str, cls, data: dict, **defaults):
+    """``cls`` built from one spec section; an unknown key or a value of
+    the wrong type is a ValueError that names the section."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {section} keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    try:
+        return cls(**(defaults | data))
+    except TypeError as err:
+        raise ValueError(f"invalid {name} value: {err}") from None
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build a spec from parsed JSON, rejecting unknown or missing keys."""
     if not isinstance(data, dict):
         raise ValueError("spec root must be a JSON object")
-    _check_keys("spec", data, {"scenario", "generator", "solver",
-                               "projection", "bandwidth_grid",
-                               "class_penalty", "out"})
     for key in ("scenario", "generator"):
         if key not in data:
             raise ValueError(f"spec is missing required key {key!r}")
-
-    gen_data = dict(data["generator"])
-    gen_fields = {f.name for f in fields(GeneratorConfig)}
-    _check_keys("generator", gen_data, gen_fields)
-    if "seed" not in gen_data:
+    for key in ("generator", "solver", "projection"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ValueError(f"invalid {key} value: expected a JSON object")
+    if "seed" not in data["generator"]:
         raise ValueError("generator.seed is required; every run must be "
                          "reproducible")
-    if "sizes" not in gen_data:
+    if "sizes" not in data["generator"]:
         raise ValueError("generator.sizes is required")
-    gen_data["sizes"] = tuple(gen_data["sizes"])
-    if gen_data.get("target_sizes") is not None:
-        gen_data["target_sizes"] = tuple(gen_data["target_sizes"])
-    generator = GeneratorConfig(**gen_data)
-
-    solver_data = dict(data.get("solver", {}))
-    _check_keys("solver", solver_data, {f.name for f in fields(SolverConfig)})
-    solver_data.setdefault("seed", generator.seed)
-    solver = SolverConfig(**solver_data)
-
-    proj_data = dict(data.get("projection", {}))
-    _check_keys("projection", proj_data, {"mode", "bandwidth"})
-    projection = ProjectionRequest(**proj_data)
-
-    return ExperimentSpec(
-        scenario=data["scenario"],
-        generator=generator,
-        solver=solver,
-        projection=projection,
-        bandwidth_grid=tuple(data.get("bandwidth_grid",
-                                      DEFAULT_BANDWIDTH_GRID)),
-        class_penalty=float(data.get("class_penalty",
-                                     DEFAULT_CLASS_PENALTY)),
-        out=data.get("out"),
-    )
+    generator = _section("generator", GeneratorConfig, data["generator"])
+    return _section("spec", ExperimentSpec, data | {
+        "generator": generator,
+        "solver": _section("solver", SolverConfig, data.get("solver", {}),
+                           seed=generator.seed),
+        "projection": _section("projection", ProjectionRequest,
+                               data.get("projection", {})),
+    })
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -420,14 +406,14 @@ def project_pipeline(spec: ExperimentSpec
     metrics = _base_metrics(fit, sample.source_ids, sample.target_ids)
     if sample.outlier_indices.size:
         radius = sample.data_sigma / 2.0
-        cond = project_source(fit, replace(spec.projection,
-                                           mode="conditional"))
-        bary = project_source(fit, replace(spec.projection,
-                                           mode="barycentric"))
-        metrics["outlier_hit_count_conditional"] = float(
-            outlier_hits(cond, sample.target_outliers, radius))
-        metrics["outlier_hit_count_barycentric"] = float(
-            outlier_hits(bary, sample.target_outliers, radius))
+        other = ("barycentric" if spec.projection.mode == "conditional"
+                 else "conditional")
+        by_mode = {spec.projection.mode: projected,
+                   other: project_source(fit, replace(spec.projection,
+                                                      mode=other))}
+        for mode in ("conditional", "barycentric"):
+            metrics[f"outlier_hit_count_{mode}"] = float(
+                outlier_hits(by_mode[mode], sample.target_outliers, radius))
     return _report(spec, metrics, start), fit, sample, projected
 
 

@@ -1,4 +1,4 @@
-"""Sample containers and CSV ingestion.
+"""Sample containers and CSV reading and writing.
 
 A :class:`PointSet` bundles a domain's samples with optional class labels
 and per-sample marginal weights. Weights default to the uniform histogram
@@ -115,16 +115,24 @@ def load_points_csv(path) -> PointSet:
     return PointSet(data)
 
 
+def write_csv(path, rows, header=None) -> None:
+    """Write ``rows`` (an array, or rows of Python scalars as ``.tolist()``
+    gives them) as comma-separated lines ending in LF. Each cell goes
+    through ``str``, which writes a Python float as its ``repr``: the
+    shortest string that reads back to the same value."""
+    if isinstance(rows, np.ndarray):
+        rows = np.atleast_2d(rows).tolist()
+    if header is not None:
+        rows = [header, *rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def save_points_csv(path, ps: PointSet) -> None:
     """Write a point set in the format read by :func:`load_points_csv`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = [f"x{i}" for i in range(ps.d)]
-        if ps.labels is not None:
-            writer.writerow(cols + ["label"])
-            for row, lab in zip(ps.points, ps.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
-        else:
-            writer.writerow(cols)
-            for row in ps.points:
-                writer.writerow([repr(float(v)) for v in row])
+    header = [f"x{i}" for i in range(ps.d)]
+    rows = ps.points.tolist()
+    if ps.labels is not None:
+        header.append("label")
+        rows = [row + [lab] for row, lab in zip(rows, ps.labels.tolist())]
+    write_csv(path, rows, header)

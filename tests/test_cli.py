@@ -129,6 +129,76 @@ def test_exit_1_on_nan_override(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "eps must be positive" in err
 
+
+@pytest.mark.parametrize("over", [
+    {"generator": {"sizes": 5, "seed": 3}},
+    {"solver": {"lam": "x"}},
+    {"generator": {"sizes": [5, 5], "seed": "a"}},
+    {"generator": {"sizes": [5, 5], "seed": 1.5}},
+    {"generator": 5},
+    {"solver": None},
+])
+def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
+    spec = _write_spec(tmp_path, _spec_data(**over))
+    assert main(["solve", spec, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    section = next(iter(over))
+    assert len(err) == 1 and err[0].startswith(f"error: invalid {section} ")
+
+
+def test_every_command_writes_lf_csvs_that_round_trip(tmp_path,
+                                                      monkeypatch):
+    import infoot.cli
+
+    returned = {}
+
+    def recorded(name, original):
+        def wrapper(spec):
+            returned[name] = original(spec)
+            return returned[name]
+        return wrapper
+
+    for name in ("solve_pipeline", "project_pipeline",
+                 "adaptation_pipeline", "retrieval_pipeline"):
+        monkeypatch.setattr(infoot.cli, name,
+                            recorded(name, getattr(infoot.cli, name)))
+    # 16 targets: retrieval scores precision at k up to 15.
+    spec = _write_spec(tmp_path, _spec_data(
+        generator={"sizes": [8, 8], "seed": 3, "rotation": 0.4},
+        bandwidth_grid=[0.5]))
+    outs = {}
+    for command in ("generate", "solve", "project", "adapt", "retrieve",
+                    "validate-bandwidth"):
+        outs[command] = tmp_path / command
+        assert main([command, spec, "--out", str(outs[command])]) == 0
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in written} == {
+        "points_source.csv", "points_target.csv", "plot_points.csv",
+        "coupling.csv", "projection.csv", "scores.csv"}
+    for path in written:
+        assert b"\r" not in path.read_bytes(), path
+
+    def read(command, name, **kwargs):
+        return np.loadtxt(outs[command] / name, delimiter=",", ndmin=2,
+                          **kwargs)
+
+    for command, name in (("solve", "solve_pipeline"),
+                          ("project", "project_pipeline"),
+                          ("adapt", "adaptation_pipeline"),
+                          ("retrieve", "retrieval_pipeline")):
+        fit = returned[name][1]
+        assert np.array_equal(read(command, "coupling.csv"),
+                              fit.result.coupling.values)
+    for command, name in (("project", "project_pipeline"),
+                          ("adapt", "adaptation_pipeline")):
+        projection = read(command, "projection.csv", skiprows=1)
+        assert np.array_equal(projection[:, 0],
+                              np.arange(projection.shape[0]))
+        assert np.array_equal(projection[:, 1:], returned[name][3])
+    assert np.array_equal(read("retrieve", "scores.csv"),
+                          returned["retrieval_pipeline"][3].values)
+
+
 def test_exit_2_on_nonconvergence_still_writes(tmp_path):
     # one outer iteration with a starved inner budget cannot converge
     data = _spec_data(solver={"lam": 100.0, "bandwidth": 0.5,

@@ -147,6 +147,17 @@ def test_kernel_takes_its_limit_when_the_scale_underflows():
         KernelGram(np.array([[1.0, np.nan], [np.nan, 1.0]]), bandwidth=0.5,
                    scale=1.0)
 
+
+def test_kernel_at_a_subnormal_scale_is_quiet_and_exact():
+    # 2 h^2 sigma^2 = 2e-320 is subnormal: a unit distance overflows the
+    # exponent to -inf, kernel 0, with no warning (tier-1 turns
+    # RuntimeWarnings into errors); a subnormal distance keeps its value.
+    k = gaussian_kernel([[0.0, 1.0], [1.0, 0.0]], 1e-160, 1.0)
+    np.testing.assert_array_equal(k, [[1, 0], [0, 1]])
+    d2 = 1e-161 ** 2
+    tiny = gaussian_kernel([[1e-161]], 1e-160, 1.0)
+    assert tiny[0, 0] == math.exp(-d2 / (2.0 * 1e-160 * 1e-160))
+
 def test_kernel_gram_validation():
     with pytest.raises(ValueError):  # diagonal must be one
         KernelGram(np.array([[0.9, 0.1], [0.1, 0.9]]), bandwidth=0.5, scale=1.0)

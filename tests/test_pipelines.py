@@ -215,6 +215,36 @@ def test_fit_builds_one_kde_model(monkeypatch):
     assert fit.model is fit.result.model
 
 
+def test_project_pipeline_projects_each_mode_once(monkeypatch):
+    import infoot.pipelines
+
+    calls = {"conditional": 0, "barycentric": 0}
+
+    def counted(mode, original):
+        def wrapper(*args, **kwargs):
+            calls[mode] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for mode in calls:
+        name = f"{mode}_project"
+        monkeypatch.setattr(infoot.pipelines, name,
+                            counted(mode, getattr(infoot.pipelines, name)))
+    data = _spec_dict(scenario="outliers",
+                      generator={"sizes": [5, 5], "seed": 3, "outliers": 2},
+                      solver={"lam": 10.0, "bandwidth": 0.5, **FAST})
+    for mode in calls:
+        before = dict(calls)
+        spec = spec_from_dict(data | {"projection": {"mode": mode}})
+        report, fit, sample, projected = \
+            infoot.pipelines.project_pipeline(spec)
+        assert {m: calls[m] - before[m] for m in calls} == \
+            {"conditional": 1, "barycentric": 1}
+        radius = sample.data_sigma / 2.0
+        assert report.metrics[f"outlier_hit_count_{mode}"] == \
+            outlier_hits(projected, sample.target_outliers, radius)
+
+
 def test_adaptation_identity_instance_is_perfect():
     # identical domains: label transfer must be exact
     data = _spec_dict(

@@ -8,6 +8,7 @@ against the values its comments promise.
 """
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -37,6 +38,39 @@ def test_traced_names_exist(monkeypatch):
     for mod in spans._PARALLEL_USERS:
         assert hasattr(importlib.import_module(mod), "parallel_map"), mod
     assert callable(importlib.import_module("infoot._parallel").thread_count)
+
+
+def test_cli_looks_up_traced_names_when_a_command_runs(monkeypatch,
+                                                      tmp_path):
+    import infoot.cli
+
+    spans = _load_spans(monkeypatch)
+    commands = {"load_spec": "solve", "solve_pipeline": "solve",
+                "project_pipeline": "project",
+                "adaptation_pipeline": "adapt",
+                "retrieval_pipeline": "retrieve"}
+    traced = {attr for mod, attr, *_ in spans._TARGETS
+              if mod == "infoot.cli" and attr != "main"}
+    assert traced and traced <= set(commands)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "scenario": "point_cloud",
+        "generator": {"sizes": [8, 8], "seed": 3},
+        "solver": {"lam": 10.0, "outer_iters": 20, "inner_max_iter": 2000,
+                   "inner_tol": 1e-8}}))
+    for attr in sorted(traced):
+        calls = []
+
+        def wrapper(*args, original=getattr(infoot.cli, attr), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(infoot.cli, attr, wrapper)
+            code = infoot.cli.main([commands[attr], str(spec),
+                                    "--out", str(tmp_path / attr)])
+        assert code == 0, attr
+        assert len(calls) == 1, attr
 
 
 def test_readme_quick_start_prints_what_it_promises():
