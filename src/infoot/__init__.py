@@ -17,9 +17,9 @@ is the constant ``"python"``, which benchmark results record.
 from ._version import __version__
 from .datasets import (ClusterSample, GeneratorConfig, class_conditional_cost,
                        gen_clusters)
-from .kernels import (DistanceMatrix, KdeModel, KernelGram, build_kde_model,
-                      estimate_scale, gaussian_gram, gaussian_kernel,
-                      joint_density, load_distance_csv, pairwise_distances)
+from .kernels import (DistanceMatrix, KdeModel, build_kde_model, estimate_scale,
+                      gaussian_kernel, joint_density, load_distance_csv,
+                      pairwise_distances)
 from .pipelines import (EvalReport, ExperimentSpec, FitResult,
                         adaptation_pipeline, circular_validation,
                         cluster_coherence, fit_alignment, load_spec,
@@ -45,7 +45,6 @@ __all__ = [
     # data containers
     "PointSet",
     "DistanceMatrix",
-    "KernelGram",
     "KdeModel",
     "CouplingMatrix",
     "SinkhornReport",
@@ -63,7 +62,6 @@ __all__ = [
     "load_distance_csv",
     "estimate_scale",
     "gaussian_kernel",
-    "gaussian_gram",
     "build_kde_model",
     "joint_density",
     # transport

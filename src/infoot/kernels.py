@@ -7,6 +7,12 @@ their row sums, which serve as (unnormalized) marginal density estimates.
 Kernel normalizing constants are dropped throughout because only ratios of
 densities are ever consumed.
 
+A :class:`KdeModel` is derived from its distance matrices and bandwidth
+alone, so its scales and read-only Grams cannot disagree with them. One
+step, ``_density_ratio``, turns a plan into the floored joint
+``Kx @ G @ Ky.T`` and its ratio to the product of the kernel row sums; the
+MI estimate, its gradient and the conditional projection all take it.
+
 The per-domain scale ``sigma`` is the median of the strictly positive
 pairwise distances, which makes a bandwidth grid like ``{0.2, ..., 0.8}``
 meaningful across datasets of different units.
@@ -15,7 +21,7 @@ meaningful across datasets of different units.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,19 +31,20 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DistanceMatrix",
-    "KernelGram",
     "KdeModel",
     "pairwise_distances",
     "load_distance_csv",
     "estimate_scale",
     "gaussian_kernel",
-    "gaussian_gram",
     "build_kde_model",
     "joint_density",
 ]
 
 _SYM_TOL = 1e-12
 _KINDS = ("intra-source", "intra-target", "cross")
+# Gaussian kernels keep densities positive, but tiny bandwidths underflow;
+# the joint is clamped before any division or log.
+JOINT_FLOOR = 1e-300
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -112,72 +119,45 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
-class KernelGram:
-    """Square Gaussian kernel matrix with its bandwidth and scale."""
-
-    values: np.ndarray
-    bandwidth: float
-    scale: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {vals.shape}")
-        if not (self.bandwidth > 0 and self.scale > 0):
-            raise ValueError("bandwidth and scale must be positive")
-        # Mathematically entries lie in (0, 1]; tiny bandwidths may underflow
-        # to exact zero, which downstream division guards handle.
-        if not np.all((vals >= 0) & (vals <= 1.0)):
-            raise ValueError("Gram entries must lie in [0, 1]")
-        if np.any(np.diag(vals) != 1.0):
-            raise ValueError("Gram diagonal must be exactly 1")
-        if np.max(np.abs(vals - vals.T)) > _SYM_TOL:
-            raise ValueError("Gram matrix must be symmetric")
-        object.__setattr__(self, "values", _readonly(vals))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class KdeModel:
-    """Precomputed KDE state for a source/target domain pair.
+    """KDE state for a source/target domain pair, derived from the two
+    intra-domain distance matrices and the bandwidth.
 
-    ``marginal_x[i]`` is the row sum of ``gram_x`` and estimates the source
-    marginal density at sample ``i`` up to a constant; same for the target.
-    Projections read only the distance matrices and the fitted scales, and
-    kernelize them at the projection bandwidth.
+    Each domain gets its own median-distance scale. A single-point domain
+    has no pairwise distances, so its scale is fixed at 1 and its Gram is
+    ``[[1]]`` for any bandwidth. The row sums of ``gram_x`` estimate the
+    source marginal density at each sample up to a constant; same for the
+    target. Projections read only the distance matrices and the scales,
+    and kernelize them at the projection bandwidth.
     """
 
-    gram_x: KernelGram
-    gram_y: KernelGram
-    marginal_x: np.ndarray
-    marginal_y: np.ndarray
     dist_x: DistanceMatrix
     dist_y: DistanceMatrix
+    bandwidth: float
+    scale_x: float = field(init=False)
+    scale_y: float = field(init=False)
+    gram_x: np.ndarray = field(init=False, repr=False)
+    gram_y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mx = np.asarray(self.marginal_x, dtype=float)
-        my = np.asarray(self.marginal_y, dtype=float)
-        if mx.shape != (self.gram_x.n,) or my.shape != (self.gram_y.n,):
-            raise ValueError("marginal vectors must match Gram sizes")
-        if not (np.all(mx > 0) and np.all(my > 0)):
-            raise ValueError("marginal densities must be strictly positive")
-        object.__setattr__(self, "marginal_x", _readonly(mx))
-        object.__setattr__(self, "marginal_y", _readonly(my))
+        if not (self.dist_x.is_intra and self.dist_y.is_intra):
+            raise ValueError("KDE model needs intra-domain distance matrices")
+        h = float(self.bandwidth)
+        object.__setattr__(self, "bandwidth", h)
+        for side, d in (("x", self.dist_x), ("y", self.dist_y)):
+            scale = 1.0 if d.shape[0] == 1 else estimate_scale(d)
+            gram = gaussian_kernel(d.values, h, scale)
+            gram.flags.writeable = False
+            object.__setattr__(self, f"scale_{side}", scale)
+            object.__setattr__(self, f"gram_{side}", gram)
 
     @property
     def n(self) -> int:
-        return self.gram_x.n
+        return self.dist_x.shape[0]
 
     @property
     def m(self) -> int:
-        return self.gram_y.n
-
-    @property
-    def bandwidth(self) -> float:
-        return self.gram_x.bandwidth
+        return self.dist_y.shape[0]
 
 
 def pairwise_distances(a: PointSet, b: PointSet,
@@ -254,38 +234,9 @@ def _squared_kernel(d2: np.ndarray, h: float, sigma: float) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def gaussian_gram(d: DistanceMatrix, h: float, sigma: float) -> KernelGram:
-    """Gaussian kernel Gram matrix of an intra-domain distance matrix.
-
-    Its diagonal is exactly 1, the kernel of the zero self-distances.
-    """
-    if not d.is_intra:
-        raise ValueError("Gram construction needs an intra-domain matrix")
-    vals = gaussian_kernel(d.values, h, sigma)
-    return KernelGram(vals, bandwidth=float(h), scale=float(sigma))
-
-
 def build_kde_model(dx: DistanceMatrix, dy: DistanceMatrix, h: float) -> KdeModel:
-    """Fit the KDE state for a pair of intra-domain distance matrices.
-
-    Each domain gets its own median-distance scale. A single-point domain
-    has no pairwise distances, so its scale is fixed at 1; the Gram and
-    marginal are then ``[[1]]`` and ``[1]`` for any bandwidth.
-    """
-    if not (dx.is_intra and dy.is_intra):
-        raise ValueError("KDE model needs intra-domain distance matrices")
-    sx = 1.0 if dx.shape[0] == 1 else estimate_scale(dx)
-    sy = 1.0 if dy.shape[0] == 1 else estimate_scale(dy)
-    gx = gaussian_gram(dx, h, sx)
-    gy = gaussian_gram(dy, h, sy)
-    return KdeModel(
-        gram_x=gx,
-        gram_y=gy,
-        marginal_x=gx.values.sum(axis=1),
-        marginal_y=gy.values.sum(axis=1),
-        dist_x=dx,
-        dist_y=dy,
-    )
+    """Fit the KDE state for a pair of intra-domain distance matrices."""
+    return KdeModel(dx, dy, h)
 
 
 def joint_density(model: KdeModel, plan) -> np.ndarray:
@@ -299,4 +250,18 @@ def joint_density(model: KdeModel, plan) -> np.ndarray:
     if g.shape != (model.n, model.m):
         raise ValueError(f"plan shape {g.shape} does not match model "
                          f"({model.n}, {model.m})")
-    return model.gram_x.values @ g @ model.gram_y.values.T
+    return model.gram_x @ g @ model.gram_y.T
+
+
+def _density_ratio(kx: np.ndarray, g: np.ndarray,
+                   ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The floored KDE joint ``kx @ g @ ky.T`` of an (n, m) plan ``g`` and
+    its ratio to the outer product of the row sums of ``kx`` and ``ky``.
+
+    ``kx`` is the source Gram, or query-to-source kernel rows.
+    """
+    if g.shape != (kx.shape[1], ky.shape[1]):
+        raise ValueError(f"plan shape {g.shape} does not match model "
+                         f"({kx.shape[1]}, {ky.shape[1]})")
+    joint = np.maximum(kx @ g @ ky.T, JOINT_FLOOR)
+    return joint, joint / np.outer(kx.sum(axis=1), ky.sum(axis=1))

@@ -27,10 +27,9 @@ import numpy as np
 
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
-from .kernels import (KdeModel, _euclidean, _plan_values, _squared_kernel,
-                      gaussian_kernel)
+from .kernels import (KdeModel, _density_ratio, _euclidean, _plan_values,
+                      _squared_kernel, gaussian_kernel)
 from .points import PointSet
-from .solver import JOINT_FLOOR
 
 __all__ = [
     "ProjectionRequest",
@@ -102,11 +101,9 @@ def barycentric_project(coupling, targets: PointSet) -> np.ndarray:
 
 def _checked_plan(model: KdeModel, coupling, targets: PointSet,
                   h_proj) -> tuple[np.ndarray, float]:
-    """Plan values and projection bandwidth, validated against the model."""
+    """Plan values and projection bandwidth; the targets are checked
+    against the model here, the plan where its joint is formed."""
     g = _plan_values(coupling)
-    if g.shape != (model.n, model.m):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({model.n}, {model.m})")
     if targets.n != model.m:
         raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
     h = model.bandwidth if h_proj is None else float(h_proj)
@@ -165,10 +162,9 @@ def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
     """
     d2 = d * d
     d2 -= d2.min(axis=1, keepdims=True)
-    kq = _squared_kernel(d2, h, model.gram_x.scale)
-    ky = gaussian_kernel(model.dist_y.values, h, model.gram_y.scale)
-    joint = np.maximum((kq @ g) @ ky.T, JOINT_FLOOR)
-    weights = joint / np.outer(kq.sum(axis=1), ky.sum(axis=1))
+    kq = _squared_kernel(d2, h, model.scale_x)
+    ky = gaussian_kernel(model.dist_y.values, h, model.scale_y)
+    _, weights = _density_ratio(kq, g, ky)
     if normalize:
         weights /= weights.sum(axis=1, keepdims=True)
     return weights
@@ -205,19 +201,19 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
 
 def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
                       h_proj: float | None = None, *,
-                      source_points: PointSet | None = None,
-                      normalize: bool = True) -> ScoreMatrix:
+                      source_points: PointSet | None = None) -> ScoreMatrix:
     """Batch :func:`importance_weights`: one (q, n) distance block for all queries.
 
     ``queries`` is ``None`` (every training source point), an index or
     1-d integer array of them, or coordinate rows of unseen points (then
     ``source_points`` must be given). Each row equals the weights of its
-    query scored alone.
+    query scored alone, normalized to a probability row.
     """
     g, h = _checked_plan(model, coupling, targets, h_proj)
     d = model.dist_x.values if queries is None \
         else _distance_rows(model, queries, source_points)
-    return ScoreMatrix(_weights(model, g, h, d, normalize), normalized=normalize)
+    weights = _weights(model, g, h, d, normalize=True)
+    return ScoreMatrix(weights, normalized=True)
 
 
 def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,
@@ -230,6 +226,6 @@ def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,
     in-sample map approaches :func:`barycentric_project`.
     """
     scores = importance_scores(model, coupling, queries, targets, h_proj,
-                               source_points=source_points, normalize=True)
+                               source_points=source_points)
     return scores.values @ targets.points
 

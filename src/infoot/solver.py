@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .kernels import (DistanceMatrix, KdeModel, _plan_values, build_kde_model,
-                      joint_density)
+from .kernels import (DistanceMatrix, KdeModel, _density_ratio, _plan_values,
+                      build_kde_model)
 from .sinkhorn import (MARGINAL_TOL, CouplingMatrix, SinkhornReport,
                        check_marginal, entropy, sinkhorn)
 
@@ -36,10 +36,6 @@ __all__ = [
     "solve_fused_infoot",
     "limit_check",
 ]
-
-# Gaussian kernels keep densities positive, but tiny bandwidths underflow;
-# clamp before any division or log.
-JOINT_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,11 @@ class SolverConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("outer_iters", "inner_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if not (self.outer_iters >= 1 and self.inner_max_iter >= 1):
             raise ValueError("iteration limits must be at least 1")
 
@@ -120,10 +121,9 @@ def mutual_information(model: KdeModel, plan) -> float:
     uniform marginals scores exactly zero.
     """
     g = _plan_values(plan)
-    joint = np.maximum(joint_density(model, g), JOINT_FLOOR)
-    ratio = (model.n * model.m) * joint / np.outer(model.marginal_x, model.marginal_y)
+    _, ratio = _density_ratio(model.gram_x, g, model.gram_y)
     mask = g > 0
-    return float(np.sum(g[mask] * np.log(ratio[mask])))
+    return float(np.sum(g[mask] * np.log((model.n * model.m) * ratio[mask])))
 
 
 def mi_gradient(model: KdeModel, plan) -> np.ndarray:
@@ -135,10 +135,8 @@ def mi_gradient(model: KdeModel, plan) -> np.ndarray:
     shifts every entry equally and Sinkhorn is invariant to cost shifts.
     """
     g = _plan_values(plan)
-    joint = np.maximum(joint_density(model, g), JOINT_FLOOR)
-    log_term = np.log(joint / np.outer(model.marginal_x, model.marginal_y))
-    linear_term = model.gram_x.values @ (g / joint) @ model.gram_y.values.T
-    return log_term + linear_term
+    joint, ratio = _density_ratio(model.gram_x, g, model.gram_y)
+    return np.log(ratio) + model.gram_x @ (g / joint) @ model.gram_y.T
 
 
 def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentResult:

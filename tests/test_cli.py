@@ -137,6 +137,9 @@ def test_exit_1_on_nan_override(tmp_path, capsys):
     {"generator": {"sizes": [5, 5], "seed": 1.5}},
     {"generator": 5},
     {"solver": None},
+    {"solver": {"outer_iters": 2.5}},
+    {"solver": {"inner_max_iter": 2.5}},
+    {"solver": {"outer_iters": True}},
 ])
 def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
     spec = _write_spec(tmp_path, _spec_data(**over))

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from infoot import (DistanceMatrix, KernelGram, PointSet, build_kde_model,
-                    estimate_scale, gaussian_gram, gaussian_kernel,
-                    joint_density, load_distance_csv, pairwise_distances)
+from infoot import (DistanceMatrix, KdeModel, PointSet, build_kde_model,
+                    estimate_scale, gaussian_kernel, importance_scores,
+                    joint_density, load_distance_csv, mi_gradient,
+                    mutual_information, pairwise_distances)
 from infoot.kernels import _euclidean
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
@@ -113,20 +114,22 @@ def test_gaussian_kernel_pointwise():
         gaussian_kernel(d, h=0.5, sigma=0.0)
 
 
+def _gram(d, h):
+    return build_kde_model(d, pairwise_distances(Y, Y), h).gram_x
+
+
 def test_gram_unit_diagonal_and_symmetry():
-    d = pairwise_distances(X, X)
-    gram = gaussian_gram(d, h=0.3, sigma=estimate_scale(d))
-    assert np.all(np.diag(gram.values) == 1.0)
-    np.testing.assert_allclose(gram.values, gram.values.T, atol=1e-15)
-    assert np.all(gram.values >= 0.0) and np.all(gram.values <= 1.0)
+    gram = _gram(pairwise_distances(X, X), 0.3)
+    assert np.all(np.diag(gram) == 1.0)
+    np.testing.assert_allclose(gram, gram.T, atol=1e-15)
+    assert np.all(gram >= 0.0) and np.all(gram <= 1.0)
 
 
 def test_gram_underflows_to_zero_at_tiny_bandwidth():
     # Mathematically entries are positive; in float64 they underflow, which
-    # the container allows and downstream densities clamp.
-    d = pairwise_distances(X, X)
-    gram = gaussian_gram(d, h=1e-4, sigma=1.0)
-    off = gram.values[~np.eye(3, dtype=bool)]
+    # the model allows and downstream densities clamp.
+    gram = _gram(pairwise_distances(X, X), 1e-4)
+    off = gram[~np.eye(3, dtype=bool)]
     assert np.all(off == 0.0)
 
 
@@ -136,16 +139,13 @@ def test_kernel_takes_its_limit_when_the_scale_underflows():
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     k = gaussian_kernel(d, 1e-170, 1.0)
     np.testing.assert_array_equal(k, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-    gram = gaussian_gram(DistanceMatrix(d, kind="intra-source"), 1e-170, 1.0)
-    np.testing.assert_array_equal(gram.values, k)
+    gram = _gram(DistanceMatrix(d, kind="intra-source"), 1e-170)
+    np.testing.assert_array_equal(gram, k)
     before = d.copy()
     gaussian_kernel(d, 0.5, 1.0)  # computed in a new array, not in d
     np.testing.assert_array_equal(d, before)
     with pytest.raises(ValueError, match="positive"):
         gaussian_kernel(d, float("nan"), 1.0)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        KernelGram(np.array([[1.0, np.nan], [np.nan, 1.0]]), bandwidth=0.5,
-                   scale=1.0)
 
 
 def test_kernel_at_a_subnormal_scale_is_quiet_and_exact():
@@ -158,36 +158,50 @@ def test_kernel_at_a_subnormal_scale_is_quiet_and_exact():
     tiny = gaussian_kernel([[1e-161]], 1e-160, 1.0)
     assert tiny[0, 0] == math.exp(-d2 / (2.0 * 1e-160 * 1e-160))
 
-def test_kernel_gram_validation():
-    with pytest.raises(ValueError):  # diagonal must be one
-        KernelGram(np.array([[0.9, 0.1], [0.1, 0.9]]), bandwidth=0.5, scale=1.0)
-    with pytest.raises(ValueError):  # entries above one
-        KernelGram(np.array([[1.0, 1.5], [1.5, 1.0]]), bandwidth=0.5, scale=1.0)
+
+def test_kde_model_is_derived_from_distances_and_bandwidth():
+    dx = pairwise_distances(X, X)
+    dy = pairwise_distances(Y, Y, kind="intra-target")
+    model = KdeModel(dx, dy, H)
+    for gram, d in ((model.gram_x, dx), (model.gram_y, dy)):
+        np.testing.assert_array_equal(
+            gram, gaussian_kernel(d.values, H, estimate_scale(d)))
+        with pytest.raises(ValueError, match="read-only"):
+            gram[0, 0] = 0.5
+    cross = pairwise_distances(X, Y)
+    with pytest.raises(ValueError, match="intra-domain"):
+        KdeModel(cross, dy, H)
+    with pytest.raises(ValueError, match="intra-domain"):
+        KdeModel(dx, cross, H)
+    for h in (float("nan"), 0.0, -0.5):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            KdeModel(dx, dy, h)
 
 
 def test_kde_model_frozen_marginals():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
     assert model.n == 3 and model.m == 2
-    assert model.gram_x.scale == SCALE_X
-    assert model.gram_y.scale == SCALE_Y
-    np.testing.assert_allclose(model.marginal_x, MARGINAL_X, rtol=1e-14)
-    assert np.all(model.marginal_x > 0) and np.all(model.marginal_y > 0)
+    assert model.scale_x == SCALE_X
+    assert model.scale_y == SCALE_Y
+    marginal_x, marginal_y = model.gram_x.sum(axis=1), model.gram_y.sum(axis=1)
+    np.testing.assert_allclose(marginal_x, MARGINAL_X, rtol=1e-14)
+    assert np.all(marginal_x > 0) and np.all(marginal_y > 0)
 
 
 def test_kde_model_single_point_domain():
     one = PointSet(np.array([[5.0, 5.0]]))
     model = build_kde_model(pairwise_distances(one, one),
                             pairwise_distances(Y, Y, kind="intra-target"), 0.7)
-    np.testing.assert_array_equal(model.gram_x.values, [[1.0]])
-    np.testing.assert_array_equal(model.marginal_x, [1.0])
+    np.testing.assert_array_equal(model.gram_x, [[1.0]])
+    np.testing.assert_array_equal(model.gram_x.sum(axis=1), [1.0])
 
 
 def test_joint_density_matches_loop_oracle():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
     joint = joint_density(model, PLAN)
-    kx, ky = model.gram_x.values, model.gram_y.values
+    kx, ky = model.gram_x, model.gram_y
     loop = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -203,6 +217,11 @@ def test_joint_density_shape_check():
                             pairwise_distances(Y, Y, kind="intra-target"), H)
     with pytest.raises(ValueError):
         joint_density(model, PLAN.T)
+    for consumer in (mutual_information, mi_gradient):
+        with pytest.raises(ValueError, match="does not match model"):
+            consumer(model, PLAN.T)
+    with pytest.raises(ValueError, match="does not match model"):
+        importance_scores(model, PLAN.T, None, Y)
 
 
 def test_load_distance_csv(tmp_path):

@@ -237,7 +237,7 @@ def _rectangular_case():
 def _oracle_row(d_row, model, g, ys, h):
     # w_j ∝ f_plan(x, y_j) / (f_X(x) f_Y(y_j)) for one query whose distances
     # to the source samples are d_row, recomputed from scratch.
-    sx, sy = model.gram_x.scale, model.gram_y.scale
+    sx, sy = model.scale_x, model.scale_y
     kx = np.exp(-d_row ** 2 / (2 * h * h * sx * sx))
     dy = np.sqrt(((ys.points[:, None] - ys.points[None]) ** 2).sum(axis=2))
     ky = np.exp(-dy ** 2 / (2 * h * h * sy * sy))

@@ -5,6 +5,7 @@ probability-domain scaling implementation run to machine precision; the
 assignment values were frozen from factorial enumeration.
 """
 
+import importlib
 import itertools
 import warnings
 
@@ -255,6 +256,26 @@ def test_warm_start_on_perturbed_cost_saves_iterations():
     assert cold_rep.converged and warm_rep.converged
     assert warm_rep.iterations < cold_rep.iterations
     np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-10)
+
+
+def test_sweeps_resume_when_the_polish_finds_no_ascent_step(monkeypatch):
+    # A polish whose line search fails at once hands its whole budget back
+    # to sweeps, which then run as if the polish had never started.
+    sinkhorn_module = importlib.import_module("infoot.sinkhorn")
+    C, p, q, eps = _polished_instance()
+    normal, _ = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
+    _, _, sweeps, _, _ = sinkhorn_log_kernel(
+        np.ascontiguousarray(-C / eps), p, q, 20000, 1e-12)
+    monkeypatch.setattr(sinkhorn_module, "_armijo_step", lambda *args: None)
+    resumed, rep = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
+    assert rep.converged and rep.violation <= 1e-12
+    assert rep.newton_steps == 0 and rep.iterations > NEWTON_WARMUP
+    assert rep.iterations == sweeps
+    np.testing.assert_allclose(resumed.values, normal.values, rtol=0,
+                               atol=1e-9)
+    _, capped = sinkhorn(C, p, q, eps, max_iter=100, tol=1e-12)
+    assert not capped.converged and capped.iterations == 100
+    assert capped.newton_steps == 0
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 50])

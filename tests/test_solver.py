@@ -120,6 +120,11 @@ def test_solver_config_validation():
         SolverConfig(bandwidth=-0.5)
     with pytest.raises(ValueError):
         SolverConfig(outer_iters=0)
+    for name in ("outer_iters", "inner_max_iter"):
+        for value in (2.5, 3.0, True, "3"):
+            with pytest.raises(TypeError, match=name):
+                SolverConfig(**{name: value})
+    assert SolverConfig(outer_iters=np.int64(3)).outer_iters == 3
     cfg = SolverConfig()
     assert cfg.lam == 100.0 and cfg.eps == 1.0
 
