@@ -18,8 +18,7 @@ from ._version import __version__
 from .datasets import (ClusterSample, GeneratorConfig, class_conditional_cost,
                        gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, build_kde_model, estimate_scale,
-                      gaussian_kernel, joint_density, load_distance_csv,
-                      pairwise_distances)
+                      gaussian_kernel, load_distance_csv, pairwise_distances)
 from .pipelines import (EvalReport, ExperimentSpec, FitResult,
                         adaptation_pipeline, circular_validation,
                         cluster_coherence, fit_alignment, load_spec,
@@ -63,7 +62,6 @@ __all__ = [
     "estimate_scale",
     "gaussian_kernel",
     "build_kde_model",
-    "joint_density",
     # transport
     "sinkhorn",
     "entropy",

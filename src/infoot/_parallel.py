@@ -1,35 +1,21 @@
-"""Worker-pool helpers honoring the ``INFOOT_THREADS`` cap.
+"""Two names the benchmark still reads; no library code calls them.
 
-Parallelism is only ever applied across independent tasks and results are
-merged in input order, so outputs are identical for any thread count.
+The library runs on the calling thread. ``perfbench/run.py`` stamps
+``thread_count()`` into its results and ``perfbench/spans.py`` wraps
+``parallel_map`` in ``infoot.pipelines`` and ``infoot.projection``, so both
+stay until the benchmark stops reading them; then this module goes.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 
 def thread_count() -> int:
-    """Worker cap from ``INFOOT_THREADS``, defaulting to the CPU count."""
-    raw = os.environ.get("INFOOT_THREADS", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"INFOOT_THREADS must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise ValueError(f"INFOOT_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
+    """Threads the library starts of its own: the calling one."""
+    return 1
 
 
 def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Apply ``fn`` to each item, possibly in parallel; order-preserving."""
-    seq: Sequence = list(items)
-    workers = min(thread_count(), len(seq))
-    if workers <= 1:
-        return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    """``[fn(item) for item in items]``."""
+    return [fn(item) for item in items]

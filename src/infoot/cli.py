@@ -6,7 +6,8 @@ always, plus ``coupling.csv``, ``projection.csv``, ``scores.csv`` and
 ``plot_points.csv`` where the command produces them. Every CSV goes
 through :func:`infoot.points.write_csv`. Exit codes: 0 on success, 1 on
 validation errors, 2 when a solve did not converge (the artifacts are
-still written so the run can be inspected).
+still written so the run can be inspected, and one ``warning:`` line on
+stderr says how the fit stopped).
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def _write_fit(outdir: Path, report: EvalReport, fit, sample: ClusterSample,
     """Write a fit's report, coupling and plot points, plus the projection
     or the retrieval scores its pipeline returned after them.
 
-    Returns the exit code: 2 when the solve did not converge.
+    Returns the exit code: 2, with one warning line on stderr, when the
+    solve did not converge.
     """
     _write_report(outdir, report)
     write_csv(outdir / "coupling.csv", fit.result.coupling.values)
@@ -136,7 +138,15 @@ def _write_fit(outdir: Path, report: EvalReport, fit, sample: ClusterSample,
                   [[i, *row] for i, row in enumerate(projected.tolist())],
                   ["query_id"] + [f"x{i}" for i in range(projected.shape[1])])
     _write_plot_points(outdir / "plot_points.csv", sample, projected)
-    return 0 if fit.result.converged else 2
+    if fit.result.converged:
+        return 0
+    diag = fit.result.diagnostics
+    inner = ("all converged" if diag["inner_converged"]
+             else "did not all converge")
+    print(f"warning: fit did not converge: {diag['outer_iterations']} outer "
+          f"steps, final plan delta {diag['final_plan_delta']:.3g}, inner "
+          f"solves {inner}", file=sys.stderr)
+    return 2
 
 
 def _cmd_validate(spec: ExperimentSpec, outdir: Path) -> int:

@@ -8,11 +8,12 @@ the class-conditional source cost; the solvers themselves never read them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .kernels import DistanceMatrix, pairwise_distances
+from .kernels import DistanceMatrix, _integer, pairwise_distances
 from .points import PointSet
 
 __all__ = [
@@ -47,15 +48,19 @@ class GeneratorConfig:
     identity: bool = False
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) \
-                or not isinstance(self.seed, (int, np.integer)):
-            raise TypeError(f"seed must be an integer, got {self.seed!r}")
-        sizes = tuple(int(s) for s in self.sizes)
+        _integer("seed", self.seed)
+        _integer("outliers", self.outliers)
+        if isinstance(self.rotation, bool) \
+                or not isinstance(self.rotation, numbers.Real):
+            raise TypeError(f"rotation must be a real number, "
+                            f"got {self.rotation!r}")
+        sizes = tuple(_integer("sizes", s) for s in self.sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError("sizes must be a nonempty tuple of counts >= 1")
         object.__setattr__(self, "sizes", sizes)
         if self.target_sizes is not None:
-            tsizes = tuple(int(s) for s in self.target_sizes)
+            tsizes = tuple(_integer("target_sizes", s)
+                           for s in self.target_sizes)
             if len(tsizes) != len(sizes) or any(s < 1 for s in tsizes):
                 raise ValueError("target_sizes must match the cluster count "
                                  "with counts >= 1")

@@ -37,7 +37,6 @@ __all__ = [
     "estimate_scale",
     "gaussian_kernel",
     "build_kde_model",
-    "joint_density",
 ]
 
 _SYM_TOL = 1e-12
@@ -52,6 +51,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, order="C")
     a.flags.writeable = False
     return a
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _plan_values(plan) -> np.ndarray:
@@ -237,20 +243,6 @@ def _squared_kernel(d2: np.ndarray, h: float, sigma: float) -> np.ndarray:
 def build_kde_model(dx: DistanceMatrix, dy: DistanceMatrix, h: float) -> KdeModel:
     """Fit the KDE state for a pair of intra-domain distance matrices."""
     return KdeModel(dx, dy, h)
-
-
-def joint_density(model: KdeModel, plan) -> np.ndarray:
-    """Kernelized joint density on the sample grid: ``K_X @ plan @ K_Y.T``.
-
-    Entry ``(i, j)`` sums ``plan[k, l] * K_X[i, k] * K_Y[j, l]`` over all
-    pairs, i.e. the KDE joint induced by weighting sample pairs with the
-    transport plan.
-    """
-    g = _plan_values(plan)
-    if g.shape != (model.n, model.m):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({model.n}, {model.m})")
-    return model.gram_x @ g @ model.gram_y.T
 
 
 def _density_ratio(kx: np.ndarray, g: np.ndarray,

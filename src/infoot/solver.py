@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .kernels import (DistanceMatrix, KdeModel, _density_ratio, _plan_values,
-                      build_kde_model)
+from .kernels import (DistanceMatrix, KdeModel, _density_ratio, _integer,
+                      _plan_values, build_kde_model)
 from .sinkhorn import (MARGINAL_TOL, CouplingMatrix, SinkhornReport,
                        check_marginal, entropy, sinkhorn)
 
@@ -65,10 +65,7 @@ class SolverConfig:
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         for name in ("outer_iters", "inner_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if not (self.outer_iters >= 1 and self.inner_max_iter >= 1):
             raise ValueError("iteration limits must be at least 1")
 

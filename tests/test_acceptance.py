@@ -9,7 +9,6 @@ stdout of any failing check.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -18,7 +17,7 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from conftest import record_verdict
+from conftest import blas_env, record_verdict
 
 from infoot import (GeneratorConfig, PointSet, ProjectionRequest,
                     SolverConfig, adaptation_pipeline, barycentric_project,
@@ -296,13 +295,12 @@ def test_criterion_11_cli_determinism(tmp_path):
     out = tmp_path / "run"
     reports = []
     couplings = []
-    for threads in ("1", "1", "4"):
-        env = dict(os.environ, INFOOT_THREADS=threads)
+    for threads in (1, 1, 4):
         proc = subprocess.run(
             [sys.executable, "-m", "infoot.cli", "adapt",
              str(SPEC_DIR / "adaptation.json"),
              "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=blas_env(threads))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "report.json").read_text())
         payload.pop("wall_time")
@@ -311,6 +309,6 @@ def test_criterion_11_cli_determinism(tmp_path):
     identical = (reports[0] == reports[1] == reports[2]
                  and couplings[0] == couplings[1] == couplings[2])
     elapsed = time.perf_counter() - start
-    _verdict(11, "CLI determinism across thread counts", identical,
-             "three adapt runs (threads 1, 1, 4) agree byte for byte on "
+    _verdict(11, "CLI determinism across BLAS thread counts", identical,
+             "three adapt runs (BLAS threads 1, 1, 4) agree byte for byte on "
              "report (timing dropped) and coupling", elapsed, 60.0)

@@ -45,10 +45,11 @@ def test_generate_writes_points_and_report(tmp_path):
     assert header == "domain,index,cluster,x0,x1,proj_x0,proj_x1"
 
 
-def test_solve_writes_coupling(tmp_path):
+def test_solve_writes_coupling(tmp_path, capsys):
     spec = _write_spec(tmp_path, _spec_data())
     out = tmp_path / "run"
     assert main(["solve", spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     coupling = np.loadtxt(out / "coupling.csv", delimiter=",")
     assert coupling.shape == (10, 10)
     assert abs(coupling.sum() - 1.0) < 1e-9
@@ -140,6 +141,11 @@ def test_exit_1_on_nan_override(tmp_path, capsys):
     {"solver": {"outer_iters": 2.5}},
     {"solver": {"inner_max_iter": 2.5}},
     {"solver": {"outer_iters": True}},
+    {"generator": {"sizes": [2.5, 3], "seed": 3}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "target_sizes": [5, 2.5]}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "outliers": 2.5}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "outliers": True}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "rotation": "x"}},
 ])
 def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
     spec = _write_spec(tmp_path, _spec_data(**over))
@@ -202,7 +208,7 @@ def test_every_command_writes_lf_csvs_that_round_trip(tmp_path,
                           returned["retrieval_pipeline"][3].values)
 
 
-def test_exit_2_on_nonconvergence_still_writes(tmp_path):
+def test_exit_2_on_nonconvergence_still_writes(tmp_path, capsys):
     # one outer iteration with a starved inner budget cannot converge
     data = _spec_data(solver={"lam": 100.0, "bandwidth": 0.5,
                               "outer_iters": 1, "inner_max_iter": 2,
@@ -213,6 +219,10 @@ def test_exit_2_on_nonconvergence_still_writes(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["metrics"]["converged"] == 0.0
     assert (out / "coupling.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning:")
+    assert "1 outer steps" in err[0]
+    assert "inner solves did not all converge" in err[0]
 
 
 def test_overrides_change_resolved_config(tmp_path):

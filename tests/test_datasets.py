@@ -99,8 +99,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="identity"):
         GeneratorConfig(sizes=(3, 3), seed=0, identity=True,
                         target_sizes=(2, 4))
-    cfg = GeneratorConfig(sizes=[4, 4], seed=1)
+    for name, bad in [("sizes", (2.5, 3)), ("sizes", (True, 3)),
+                      ("target_sizes", (3, 2.5)), ("outliers", 2.5),
+                      ("outliers", True), ("rotation", "x"),
+                      ("rotation", True)]:
+        with pytest.raises(TypeError, match=f"^{name} must be"):
+            GeneratorConfig(**{"sizes": (3, 3), "seed": 0, name: bad})
+    cfg = GeneratorConfig(sizes=[np.int64(4), 4], seed=1,
+                          outliers=np.int64(2), rotation=np.float32(0.5))
     assert cfg.sizes == (4, 4) and cfg.n_clusters == 2
+    assert all(type(s) is int for s in cfg.sizes)
     assert cfg.to_dict()["seed"] == 1
 
 

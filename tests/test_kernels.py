@@ -14,9 +14,9 @@ from scipy.spatial.distance import cdist
 
 from infoot import (DistanceMatrix, KdeModel, PointSet, build_kde_model,
                     estimate_scale, gaussian_kernel, importance_scores,
-                    joint_density, load_distance_csv, mi_gradient,
-                    mutual_information, pairwise_distances)
-from infoot.kernels import _euclidean
+                    load_distance_csv, mi_gradient, mutual_information,
+                    pairwise_distances)
+from infoot.kernels import _density_ratio, _euclidean
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -200,8 +200,8 @@ def test_kde_model_single_point_domain():
 def test_joint_density_matches_loop_oracle():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
-    joint = joint_density(model, PLAN)
     kx, ky = model.gram_x, model.gram_y
+    joint, _ = _density_ratio(kx, PLAN, ky)
     loop = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -215,8 +215,8 @@ def test_joint_density_matches_loop_oracle():
 def test_joint_density_shape_check():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
-    with pytest.raises(ValueError):
-        joint_density(model, PLAN.T)
+    with pytest.raises(ValueError, match="does not match model"):
+        _density_ratio(model.gram_x, PLAN.T, model.gram_y)
     for consumer in (mutual_information, mi_gradient):
         with pytest.raises(ValueError, match="does not match model"):
             consumer(model, PLAN.T)

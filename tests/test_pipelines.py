@@ -1,9 +1,11 @@
 """Experiment specs, evaluation metrics, and the scenario pipelines."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
+from conftest import run_child
 
 from infoot import (EvalReport, ExperimentSpec, GeneratorConfig,
                     ProjectionRequest, SolverConfig, adaptation_pipeline,
@@ -308,15 +310,32 @@ def test_validate_bandwidth_pipeline_single_entry_grid():
     assert report.metrics["score_h_0.4"] == pairs[0][1]
 
 
-def test_reports_identical_across_thread_counts(monkeypatch):
+def test_reports_identical_across_thread_counts():
     data = _spec_dict(
         generator={"sizes": [6, 6], "seed": 8, "rotation": 0.2},
         solver={"lam": 100.0, "bandwidth": 0.5, **FAST},
         bandwidth_grid=[0.3, 0.5],
     )
-    metrics = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("INFOOT_THREADS", threads)
-        report, _, _ = validate_bandwidth_pipeline(spec_from_dict(data))
-        metrics.append(report.metrics)
+    code = ("import json, sys\n"
+            "from infoot import spec_from_dict, validate_bandwidth_pipeline\n"
+            "spec = spec_from_dict(json.loads(sys.argv[1]))\n"
+            "report, _, _ = validate_bandwidth_pipeline(spec)\n"
+            "print(json.dumps(report.metrics, sort_keys=True))\n")
+    metrics = [run_child(code, threads, json.dumps(data))
+               for threads in (1, 4)]
     assert metrics[0] == metrics[1]
+    assert json.loads(metrics[0])["chosen_bandwidth"] in (0.3, 0.5)
+
+
+def test_sweep_runs_on_the_calling_thread(monkeypatch):
+    def refuse(thread):
+        raise RuntimeError("circular validation started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    sample = gen_clusters(GeneratorConfig(sizes=(6, 6), seed=8,
+                                          rotation=0.2))
+    cfg = SolverConfig(lam=100.0, bandwidth=0.5, **FAST)
+    chosen, pairs = circular_validation(sample.source, sample.target, cfg,
+                                        [0.5, 0.3])
+    assert [h for h, _ in pairs] == [0.3, 0.5]
+    assert chosen in (0.3, 0.5)

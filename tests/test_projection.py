@@ -5,8 +5,11 @@ the importance-weight formula on the fixed 3x2 instance shared with the
 kernel tests (same kernels recomputed from scratch, no package code).
 """
 
+import json
+
 import numpy as np
 import pytest
+from conftest import run_child
 
 from infoot import (GeneratorConfig, PointSet, ProjectionRequest, ScoreMatrix,
                     SolverConfig, barycentric_project, build_kde_model,
@@ -176,16 +179,25 @@ def test_importance_scores_batches_all_queries():
     np.testing.assert_allclose(coords.values, scores.values[:2], atol=1e-12)
 
 
-def test_scores_identical_across_thread_counts(monkeypatch):
-    model = _model()
-    rng = np.random.default_rng(13)
-    queries = rng.normal(size=(6, 2))
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("INFOOT_THREADS", threads)
-        scores = importance_scores(model, PLAN, queries, Y, source_points=X)
-        results.append(scores.values)
-    np.testing.assert_array_equal(results[0], results[1])
+def test_scores_identical_across_thread_counts():
+    queries = np.random.default_rng(13).normal(size=(6, 2))
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from infoot import (PointSet, build_kde_model, "
+            "importance_scores, pairwise_distances)\n"
+            "x, y, plan, queries, h = json.loads(sys.argv[1])\n"
+            "X, Y = PointSet(np.array(x)), PointSet(np.array(y))\n"
+            "model = build_kde_model(pairwise_distances(X, X), "
+            "pairwise_distances(Y, Y, kind='intra-target'), h)\n"
+            "scores = importance_scores(model, np.array(plan), "
+            "np.array(queries), Y, source_points=X)\n"
+            "print(json.dumps(scores.values.tolist()))\n")
+    args = json.dumps([X.points.tolist(), Y.points.tolist(), PLAN.tolist(),
+                       queries.tolist(), H])
+    results = [run_child(code, threads, args) for threads in (1, 4)]
+    assert results[0] == results[1]
+    expected = importance_scores(_model(), PLAN, queries, Y, source_points=X)
+    np.testing.assert_array_equal(json.loads(results[0]), expected.values)
 
 
 def test_projection_request_validation():
