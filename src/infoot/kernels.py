@@ -133,8 +133,9 @@ class KdeModel:
     has no pairwise distances, so its scale is fixed at 1 and its Gram is
     ``[[1]]`` for any bandwidth. The row sums of ``gram_x`` estimate the
     source marginal density at each sample up to a constant; same for the
-    target. Projections read only the distance matrices and the scales,
-    and kernelize them at the projection bandwidth.
+    target. Projections kernelize query-to-source distances at the
+    projection bandwidth on every call, and take the target Gram at that
+    bandwidth from :meth:`target_gram`, which keeps it between calls.
     """
 
     dist_x: DistanceMatrix
@@ -144,6 +145,10 @@ class KdeModel:
     scale_y: float = field(init=False)
     gram_x: np.ndarray = field(init=False, repr=False)
     gram_y: np.ndarray = field(init=False, repr=False)
+    # (h, read-only target Gram at h) for the last projection bandwidth
+    # other than ``bandwidth``; at most one, so memory stays 2 m^2 floats.
+    _target_gram: tuple | None = field(init=False, repr=False, compare=False,
+                                       default=None)
 
     def __post_init__(self):
         if not (self.dist_x.is_intra and self.dist_y.is_intra):
@@ -164,6 +169,23 @@ class KdeModel:
     @property
     def m(self) -> int:
         return self.dist_y.shape[0]
+
+    def target_gram(self, h: float) -> np.ndarray:
+        """The read-only target Gram at bandwidth ``h``.
+
+        At the fitted bandwidth it is ``gram_y`` itself. Another ``h`` is
+        built once and kept until a different one is asked for, so scoring
+        batch after batch at one projection bandwidth builds it once.
+        """
+        if h == self.bandwidth:
+            return self.gram_y
+        memo = self._target_gram
+        if memo is None or memo[0] != h:
+            gram = gaussian_kernel(self.dist_y.values, h, self.scale_y)
+            gram.flags.writeable = False
+            memo = (h, gram)
+            object.__setattr__(self, "_target_gram", memo)
+        return memo[1]
 
 
 def pairwise_distances(a: PointSet, b: PointSet,

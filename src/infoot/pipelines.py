@@ -25,7 +25,8 @@ from ._parallel import parallel_map  # noqa: F401
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        class_conditional_cost, gen_clusters)
-from .kernels import KdeModel, _euclidean, _plan_values, pairwise_distances
+from .kernels import (KdeModel, _euclidean, _integer, _plan_values,
+                      pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -287,23 +288,38 @@ def precision_at_k(scores, query_labels, target_labels,
                    ks=PRECISION_KS) -> dict[int, float]:
     """Mean fraction of same-class targets among the top-k scored ones.
 
-    Ranking sorts by descending score with ties resolved toward the lower
-    target index (stable sort), so results do not depend on sort internals.
+    A row's top k are the targets a stable descending sort would put
+    first: ties go to the lower target index, so results do not depend on
+    sort internals. The set is selected without sorting the row: every
+    score above the k-th largest, then the scores equal to it, lowest
+    target index first; only rows whose ties there run past k count them.
+    Scores must be finite and each ``k`` an integer.
     """
     vals = _plan_values(scores)
     query_labels = np.asarray(query_labels)
     target_labels = np.asarray(target_labels)
     if vals.ndim != 2 or vals.shape != (query_labels.size, target_labels.size):
         raise ValueError("scores must be (n_queries, n_targets)")
-    m = vals.shape[1]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("scores must be finite")
+    q, m = vals.shape
+    ks = [_integer("k", k) for k in ks]
     for k in ks:
-        if not 1 <= int(k) <= m:
+        if not 1 <= k <= m:
             raise ValueError(f"k={k} out of range for {m} targets")
-    order = np.argsort(-vals, axis=1, kind="stable")
+    kth = np.partition(vals, np.array([m - k for k in ks], dtype=int), axis=1)
+    same = query_labels[:, None] == target_labels[None, :]
     result = {}
     for k in ks:
-        top = target_labels[order[:, :int(k)]]
-        result[int(k)] = float((top == query_labels[:, None]).mean())
+        t = kth[:, m - k, None]
+        top = vals >= t
+        # Rows whose ties at t run past k keep only the first of those ties.
+        over = np.count_nonzero(top, axis=1) > k
+        row, t_row = vals[over], t[over]
+        tied = row == t_row
+        room = k - np.count_nonzero(row > t_row, axis=1, keepdims=True)
+        top[over] = (row > t_row) | (tied & (np.cumsum(tied, axis=1) <= room))
+        result[k] = float(np.count_nonzero(top & same) / (q * k))
     return result
 
 

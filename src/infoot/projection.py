@@ -28,7 +28,7 @@ import numpy as np
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
 from .kernels import (KdeModel, _density_ratio, _euclidean, _plan_values,
-                      _squared_kernel, gaussian_kernel)
+                      _squared_kernel)
 from .points import PointSet
 
 __all__ = [
@@ -163,8 +163,7 @@ def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
     d2 = d * d
     d2 -= d2.min(axis=1, keepdims=True)
     kq = _squared_kernel(d2, h, model.scale_x)
-    ky = gaussian_kernel(model.dist_y.values, h, model.scale_y)
-    _, weights = _density_ratio(kq, g, ky)
+    _, weights = _density_ratio(kq, g, model.target_gram(h))
     if normalize:
         weights /= weights.sum(axis=1, keepdims=True)
     return weights

@@ -169,10 +169,51 @@ def test_precision_at_k_hand_counted():
     tied = np.array([[0.5, 0.5]])
     p_tied = precision_at_k(tied, np.array([1]), np.array([0, 1]), ks=(1,))
     assert p_tied[1] == 0.0
+    assert precision_at_k(scores, query_labels, target_labels, ks=()) == {}
     with pytest.raises(ValueError, match="out of range"):
         precision_at_k(scores, query_labels, target_labels, ks=(5,))
     with pytest.raises(ValueError):
         precision_at_k(scores[:, :3], query_labels, target_labels)
+
+
+def _precision_by_sort(scores, query_labels, target_labels, ks):
+    """Precision at k from a full stable descending sort of every row."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return {int(k): float((target_labels[order[:, :int(k)]]
+                           == query_labels[:, None]).mean()) for k in ks}
+
+
+def test_precision_at_k_matches_stable_sort_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(1200):
+        q, m = rng.integers(1, 12), rng.integers(1, 40)
+        if trial % 2:
+            # few distinct values: ties straddle the k boundary
+            scores = rng.integers(0, rng.integers(1, 5), (q, m)).astype(float)
+        else:
+            scores = rng.uniform(size=(q, m))
+        query_labels = rng.integers(0, 3, q)
+        target_labels = rng.integers(0, 3, m)
+        ks = tuple(rng.integers(1, m + 1, rng.integers(1, 4)))
+        got = precision_at_k(scores, query_labels, target_labels, ks)
+        assert got == _precision_by_sort(scores, query_labels,
+                                         target_labels, ks)
+        assert all(type(v) is float for v in got.values())
+
+
+def test_precision_at_k_rejects_non_finite_scores():
+    labels = np.array([0, 1])
+    for bad in (np.nan, np.inf, -np.inf):
+        scores = np.array([[0.5, bad], [0.2, 0.1]])
+        with pytest.raises(ValueError, match="finite"):
+            precision_at_k(scores, labels, labels, ks=(1,))
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, True, "1"])
+def test_precision_at_k_rejects_non_integer_k(k):
+    labels = np.array([0, 1])
+    with pytest.raises(TypeError, match="integer"):
+        precision_at_k(np.eye(2), labels, labels, ks=(k,))
 
 
 def test_outlier_hits_counts_within_radius():

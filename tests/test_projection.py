@@ -200,6 +200,28 @@ def test_scores_identical_across_thread_counts():
     np.testing.assert_array_equal(json.loads(results[0]), expected.values)
 
 
+def test_target_gram_memo_keeps_scores_bit_identical():
+    sample = gen_clusters(GeneratorConfig(sizes=(6, 6), seed=5, rotation=0.4))
+    fit = fit_alignment(sample.source, sample.target,
+                        SolverConfig(lam=10.0, eps=1.0, bandwidth=0.5))
+    model, plan = fit.model, fit.result.coupling
+    queries = np.random.default_rng(2).normal(size=(7, 2))
+
+    def scores(m, h):
+        return importance_scores(m, plan, queries, fit.target, h,
+                                 source_points=fit.source).values
+
+    for h in (model.bandwidth, 0.3, 0.4, 0.3):
+        fresh = build_kde_model(model.dist_x, model.dist_y, model.bandwidth)
+        assert np.array_equal(scores(model, h), scores(fresh, h))
+        memo = model._target_gram
+        assert memo is None or (memo[0] == h and not memo[1].flags.writeable)
+    assert model.target_gram(model.bandwidth) is model.gram_y
+    assert model._target_gram[0] == 0.3
+    assert model.target_gram(0.3) is model._target_gram[1]
+    assert not model.target_gram(0.3).flags.writeable
+
+
 def test_projection_request_validation():
     req = ProjectionRequest()
     assert req.mode == "conditional"
