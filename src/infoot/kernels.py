@@ -9,9 +9,13 @@ densities are ever consumed.
 
 A :class:`KdeModel` is derived from its distance matrices and bandwidth
 alone, so its scales and read-only Grams cannot disagree with them. One
-step, ``_density_ratio``, turns a plan into the floored joint
-``Kx @ G @ Ky.T`` and its ratio to the product of the kernel row sums; the
-MI estimate, its gradient and the conditional projection all take it.
+step, ``_floored_ratio``, floors a KDE joint and divides it by the outer
+product of the kernel row sums. The MI estimate and its gradient reach it
+through ``_density_ratio``, which forms the joint ``(Kx @ G) @ Ky.T``. The
+conditional projection reaches it with ``Kq @ W``, where the plan-side
+factor ``W = G @ Ky(h).T`` and the target row sums ``Ky(h) @ 1`` do not
+depend on the queries; :meth:`KdeModel.projection_factor` keeps them for
+the last (plan, projection bandwidth) pair it was asked for.
 
 The per-domain scale ``sigma`` is the median of the strictly positive
 pairwise distances, which makes a bandwidth grid like ``{0.2, ..., 0.8}``
@@ -134,8 +138,9 @@ class KdeModel:
     ``[[1]]`` for any bandwidth. The row sums of ``gram_x`` estimate the
     source marginal density at each sample up to a constant; same for the
     target. Projections kernelize query-to-source distances at the
-    projection bandwidth on every call, and take the target Gram at that
-    bandwidth from :meth:`target_gram`, which keeps it between calls.
+    projection bandwidth on every call, and take the plan-side factor at
+    that bandwidth from :meth:`projection_factor`, which keeps it between
+    calls.
     """
 
     dist_x: DistanceMatrix
@@ -145,10 +150,12 @@ class KdeModel:
     scale_y: float = field(init=False)
     gram_x: np.ndarray = field(init=False, repr=False)
     gram_y: np.ndarray = field(init=False, repr=False)
-    # (h, read-only target Gram at h) for the last projection bandwidth
-    # other than ``bandwidth``; at most one, so memory stays 2 m^2 floats.
-    _target_gram: tuple | None = field(init=False, repr=False, compare=False,
-                                       default=None)
+    # (h, plan key, W, r_y) for the last plan and projection bandwidth
+    # scored; at most one, so memory stays one (n, m) factor and one
+    # m-vector, plus a copy of the plan unless it is a read-only array
+    # that owns its data.
+    _factor: tuple | None = field(init=False, repr=False, compare=False,
+                                  default=None)
 
     def __post_init__(self):
         if not (self.dist_x.is_intra and self.dist_y.is_intra):
@@ -170,22 +177,35 @@ class KdeModel:
     def m(self) -> int:
         return self.dist_y.shape[0]
 
-    def target_gram(self, h: float) -> np.ndarray:
-        """The read-only target Gram at bandwidth ``h``.
+    def projection_factor(self, g: np.ndarray,
+                          h: float) -> tuple[np.ndarray, np.ndarray]:
+        """The plan-side factor ``W = g @ Ky(h).T`` (n, m) and the target
+        row sums ``Ky(h) @ 1`` (m,), where ``Ky(h)`` is the target Gram at
+        bandwidth ``h``; both read-only.
 
-        At the fitted bandwidth it is ``gram_y`` itself. Another ``h`` is
-        built once and kept until a different one is asked for, so scoring
-        batch after batch at one projection bandwidth builds it once.
+        Neither depends on the queries, so the pair for the last plan and
+        ``h`` asked for is kept. It is served again only for the same
+        ``h`` and the same plan: the same read-only array that owns its
+        data, or values equal to a read-only copy kept of any other plan,
+        so a writable plan changed in place is never served stale. At the
+        fitted bandwidth ``Ky`` is ``gram_y`` itself; at another it is
+        built on a miss and not kept.
         """
-        if h == self.bandwidth:
-            return self.gram_y
-        memo = self._target_gram
-        if memo is None or memo[0] != h:
-            gram = gaussian_kernel(self.dist_y.values, h, self.scale_y)
-            gram.flags.writeable = False
-            memo = (h, gram)
-            object.__setattr__(self, "_target_gram", memo)
-        return memo[1]
+        memo = self._factor
+        if memo is not None and memo[0] == h and (
+                g is memo[1] or np.array_equal(g, memo[1])):
+            return memo[2], memo[3]
+        if g.shape != (self.n, self.m):
+            raise ValueError(f"plan shape {g.shape} does not match model "
+                             f"({self.n}, {self.m})")
+        ky = self.gram_y if h == self.bandwidth \
+            else gaussian_kernel(self.dist_y.values, h, self.scale_y)
+        w, row_sums = g @ ky.T, ky.sum(axis=1)
+        w.flags.writeable = row_sums.flags.writeable = False
+        owned = not g.flags.writeable and g.base is None
+        object.__setattr__(self, "_factor",
+                           (h, g if owned else _readonly(g), w, row_sums))
+        return w, row_sums
 
 
 def pairwise_distances(a: PointSet, b: PointSet,
@@ -267,15 +287,22 @@ def build_kde_model(dx: DistanceMatrix, dy: DistanceMatrix, h: float) -> KdeMode
     return KdeModel(dx, dy, h)
 
 
+def _floored_ratio(joint: np.ndarray, rx: np.ndarray,
+                   ry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A KDE joint floored at ``JOINT_FLOOR`` in place, and its ratio to the
+    outer product of the kernel row sums ``rx`` and ``ry``."""
+    np.maximum(joint, JOINT_FLOOR, out=joint)
+    return joint, joint / np.outer(rx, ry)
+
+
 def _density_ratio(kx: np.ndarray, g: np.ndarray,
                    ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floored KDE joint ``kx @ g @ ky.T`` of an (n, m) plan ``g`` and
+    """The floored KDE joint ``(kx @ g) @ ky.T`` of an (n, m) plan ``g`` and
     its ratio to the outer product of the row sums of ``kx`` and ``ky``.
 
-    ``kx`` is the source Gram, or query-to-source kernel rows.
+    ``kx`` is the source Gram and ``ky`` the target Gram.
     """
     if g.shape != (kx.shape[1], ky.shape[1]):
         raise ValueError(f"plan shape {g.shape} does not match model "
                          f"({kx.shape[1]}, {ky.shape[1]})")
-    joint = np.maximum(kx @ g @ ky.T, JOINT_FLOOR)
-    return joint, joint / np.outer(kx.sum(axis=1), ky.sum(axis=1))
+    return _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))

@@ -290,37 +290,40 @@ def precision_at_k(scores, query_labels, target_labels,
 
     A row's top k are the targets a stable descending sort would put
     first: ties go to the lower target index, so results do not depend on
-    sort internals. The set is selected without sorting the row: every
-    score above the k-th largest, then the scores equal to it, lowest
-    target index first; only rows whose ties there run past k count them.
-    Scores must be finite and each ``k`` an integer.
+    sort internals. Rows are not sorted whole: ``np.argpartition`` selects
+    each row's K = max(ks) largest scores, and ``np.lexsort`` orders that
+    block by descending score, then target index. Only rows whose ties at
+    the K-th score run past the block are sorted whole. Scores must be
+    finite and each ``k`` an integer.
     """
     vals = _plan_values(scores)
     query_labels = np.asarray(query_labels)
     target_labels = np.asarray(target_labels)
     if vals.ndim != 2 or vals.shape != (query_labels.size, target_labels.size):
         raise ValueError("scores must be (n_queries, n_targets)")
-    if not np.all(np.isfinite(vals)):
+    # Two reductions, no boolean temporary: a NaN fails both comparisons.
+    if vals.size and not (vals.min() > -np.inf and vals.max() < np.inf):
         raise ValueError("scores must be finite")
     q, m = vals.shape
     ks = [_integer("k", k) for k in ks]
     for k in ks:
         if not 1 <= k <= m:
             raise ValueError(f"k={k} out of range for {m} targets")
-    kth = np.partition(vals, np.array([m - k for k in ks], dtype=int), axis=1)
-    same = query_labels[:, None] == target_labels[None, :]
-    result = {}
-    for k in ks:
-        t = kth[:, m - k, None]
-        top = vals >= t
-        # Rows whose ties at t run past k keep only the first of those ties.
-        over = np.count_nonzero(top, axis=1) > k
-        row, t_row = vals[over], t[over]
-        tied = row == t_row
-        room = k - np.count_nonzero(row > t_row, axis=1, keepdims=True)
-        top[over] = (row > t_row) | (tied & (np.cumsum(tied, axis=1) <= room))
-        result[k] = float(np.count_nonzero(top & same) / (q * k))
-    return result
+    if not ks:
+        return {}
+    top = max(ks)
+    block = np.argpartition(vals, m - top, axis=1)[:, m - top:]
+    neg = -np.take_along_axis(vals, block, axis=1)
+    order = np.take_along_axis(block, np.lexsort((block, neg), axis=1), axis=1)
+    # The block holds every score at or above its last one unless ties
+    # there run past it; those rows take a full stable sort.
+    last = vals[np.arange(q), order[:, -1], None]
+    spill = np.count_nonzero(vals >= last, axis=1) > top
+    if spill.any():
+        order[spill] = np.argsort(-vals[spill], axis=1,
+                                  kind="stable")[:, :top]
+    hit = target_labels[order] == query_labels[:, None]
+    return {k: float(np.count_nonzero(hit[:, :k]) / (q * k)) for k in ks}
 
 
 def outlier_hits(projected, outliers, radius: float) -> int:

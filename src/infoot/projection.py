@@ -27,7 +27,7 @@ import numpy as np
 
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
-from .kernels import (KdeModel, _density_ratio, _euclidean, _plan_values,
+from .kernels import (KdeModel, _euclidean, _floored_ratio, _plan_values,
                       _squared_kernel)
 from .points import PointSet
 
@@ -75,7 +75,9 @@ class ScoreMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("score matrix must be 2-d")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
+        # Two reductions, no boolean temporaries: a NaN fails both
+        # comparisons, and -inf fails the first.
+        if vals.size and not (vals.min() >= 0 and vals.max() < np.inf):
             raise ValueError("scores must be finite and nonnegative")
         if self.normalized:
             dev = np.max(np.abs(vals.sum(axis=1) - 1.0))
@@ -102,7 +104,7 @@ def barycentric_project(coupling, targets: PointSet) -> np.ndarray:
 def _checked_plan(model: KdeModel, coupling, targets: PointSet,
                   h_proj) -> tuple[np.ndarray, float]:
     """Plan values and projection bandwidth; the targets are checked
-    against the model here, the plan where its joint is formed."""
+    against the model here, the plan where its factor is formed."""
     g = _plan_values(coupling)
     if targets.n != model.m:
         raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
@@ -158,12 +160,15 @@ def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
     Each row's smallest squared distance is subtracted in the exponent, so
     its nearest sample gets kernel exactly 1. That leaves the weights as
     they are, and a query far from every sample keeps a row that does not
-    underflow to all zeros.
+    underflow to all zeros. The joint is ``kq @ W`` with the model's
+    plan-side factor ``W = g @ Ky(h).T``, so a batch costs one (q, n, m)
+    product once the factor is kept.
     """
+    w, target_sums = model.projection_factor(g, h)
     d2 = d * d
     d2 -= d2.min(axis=1, keepdims=True)
     kq = _squared_kernel(d2, h, model.scale_x)
-    _, weights = _density_ratio(kq, g, model.target_gram(h))
+    _, weights = _floored_ratio(kq @ w, kq.sum(axis=1), target_sums)
     if normalize:
         weights /= weights.sum(axis=1, keepdims=True)
     return weights

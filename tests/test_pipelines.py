@@ -194,11 +194,36 @@ def test_precision_at_k_matches_stable_sort_oracle():
             scores = rng.uniform(size=(q, m))
         query_labels = rng.integers(0, 3, q)
         target_labels = rng.integers(0, 3, m)
-        ks = tuple(rng.integers(1, m + 1, rng.integers(1, 4)))
+        ks = tuple(rng.integers(1, m + 1, rng.integers(0, 4)))
         got = precision_at_k(scores, query_labels, target_labels, ks)
         assert got == _precision_by_sort(scores, query_labels,
                                          target_labels, ks)
         assert all(type(v) is float for v in got.values())
+
+
+def test_precision_at_k_top_block_edges():
+    rng = np.random.default_rng(31)
+    m = 9
+    target_labels = rng.integers(0, 3, m)
+    # q=1, k=m, and a continuous and a tie-heavy row each
+    for row in (rng.uniform(size=(1, m)),
+                rng.integers(0, 3, (1, m)).astype(float)):
+        label = rng.integers(0, 3, 1)
+        for ks in ((m,), (1, m), (3,), ()):
+            assert precision_at_k(row, label, target_labels, ks) == \
+                _precision_by_sort(row, label, target_labels, ks)
+    # Ties at the K-th score run past the block, so the row takes the full
+    # sort, in rows 0 and 2 at every K below 9, in row 1 at K=3 but not at
+    # K=4, and in row 3, one tie across the whole row, at every K below 9.
+    scores = np.array([[5, 4, 3, 3, 3, 3, 1, 0, 3],
+                       [5, 4, 3, 3, 2, 2, 1, 0, 2],
+                       [0, 2, 2, 2, 9, 2, 2, 2, 2],
+                       [1, 1, 1, 1, 1, 1, 1, 1, 1]], dtype=float)
+    query_labels = np.array([0, 1, 2, 0])
+    target_labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
+    for ks in ((3,), (1, 4), (2, 3, 5), (9,)):
+        assert precision_at_k(scores, query_labels, target_labels, ks) == \
+            _precision_by_sort(scores, query_labels, target_labels, ks)
 
 
 def test_precision_at_k_rejects_non_finite_scores():

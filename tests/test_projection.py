@@ -214,12 +214,81 @@ def test_target_gram_memo_keeps_scores_bit_identical():
     for h in (model.bandwidth, 0.3, 0.4, 0.3):
         fresh = build_kde_model(model.dist_x, model.dist_y, model.bandwidth)
         assert np.array_equal(scores(model, h), scores(fresh, h))
-        memo = model._target_gram
-        assert memo is None or (memo[0] == h and not memo[1].flags.writeable)
-    assert model.target_gram(model.bandwidth) is model.gram_y
-    assert model._target_gram[0] == 0.3
-    assert model.target_gram(0.3) is model._target_gram[1]
-    assert not model.target_gram(0.3).flags.writeable
+        memo = model._factor
+        assert memo[0] == h and not memo[2].flags.writeable
+    assert model._factor[0] == 0.3
+    assert model._factor[1] is plan.values
+    w, sums = model.projection_factor(plan.values, 0.3)
+    assert w is model._factor[2] and sums is model._factor[3]
+    assert not w.flags.writeable and not sums.flags.writeable
+
+
+def _memo_case():
+    sample = gen_clusters(GeneratorConfig(sizes=(6, 6), seed=5, rotation=0.4))
+    fit = fit_alignment(sample.source, sample.target,
+                        SolverConfig(lam=10.0, eps=1.0, bandwidth=0.5))
+    queries = np.random.default_rng(4).normal(size=(5, 2))
+
+    def scores(model, plan, h):
+        return importance_scores(model, plan, queries, fit.target, h,
+                                 source_points=fit.source).values
+
+    def fresh():
+        return build_kde_model(fit.model.dist_x, fit.model.dist_y,
+                               fit.model.bandwidth)
+
+    return fit, scores, fresh
+
+
+def _one_memo_entry(model, h):
+    memo_fields = [f for f in vars(model) if f.startswith("_")]
+    assert memo_fields == ["_factor"]
+    assert len(model._factor) == 4 and model._factor[0] == h
+
+
+def test_factor_memo_two_plans_alternated():
+    fit, scores, fresh = _memo_case()
+    model = fit.model
+    solved = fit.result.coupling
+    uniform = np.full(solved.shape, 1.0 / solved.values.size)
+    for plan in (solved, uniform, solved, uniform, uniform, solved):
+        assert np.array_equal(scores(model, plan, 0.3),
+                              scores(fresh(), plan, 0.3))
+        _one_memo_entry(model, 0.3)
+    assert not np.array_equal(scores(model, solved, 0.3),
+                              scores(model, uniform, 0.3))
+
+
+def test_factor_memo_never_serves_a_mutated_plan():
+    fit, scores, fresh = _memo_case()
+    model = fit.model
+    plan = np.array(fit.result.coupling.values)
+    rng = np.random.default_rng(8)
+    for h in (0.3, model.bandwidth):
+        for _ in range(3):
+            before = scores(model, plan, h)
+            plan *= rng.uniform(0.5, 1.5, plan.shape)
+            plan /= plan.sum()
+            after = scores(model, plan, h)
+            assert np.array_equal(after, scores(fresh(), plan, h))
+            assert not np.array_equal(before, after)
+            _one_memo_entry(model, h)
+            # the kept key is a read-only copy, not the caller's array
+            assert model._factor[1] is not plan
+            assert not model._factor[1].flags.writeable
+
+
+def test_factor_memo_alternating_bandwidths():
+    fit, scores, fresh = _memo_case()
+    model, plan = fit.model, fit.result.coupling
+    for h in (model.bandwidth, 0.3, model.bandwidth, 0.3, 0.3,
+              model.bandwidth):
+        assert np.array_equal(scores(model, plan, h),
+                              scores(fresh(), plan, h))
+        _one_memo_entry(model, h)
+    # at the fitted bandwidth the target row sums are gram_y's
+    np.testing.assert_array_equal(model._factor[3],
+                                  model.gram_y.sum(axis=1))
 
 
 def test_projection_request_validation():
@@ -238,6 +307,10 @@ def test_score_matrix_validation():
         ScoreMatrix(np.array([[1.0, -0.5]]), normalized=False)
     with pytest.raises(ValueError, match="sum to 1"):
         ScoreMatrix(np.array([[0.4, 0.4]]), normalized=True)
+    for bad in (np.nan, np.inf, -np.inf):
+        for normalized in (False, True):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ScoreMatrix(np.array([[0.5, bad]]), normalized=normalized)
     ok = ScoreMatrix(np.array([[0.4, 0.6]]), normalized=True)
     assert ok.shape == (1, 2)
 
