@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,6 +124,16 @@ class DistanceMatrix:
     def is_intra(self) -> bool:
         return self.kind != "cross"
 
+    @cached_property
+    def scale(self) -> float:
+        """KDE scale of an intra-domain matrix: :func:`estimate_scale`, or
+        1 for a single point, which has no pairwise distances.
+
+        The values are read-only, so the median is taken once per matrix
+        however many models are built on it.
+        """
+        return 1.0 if self.shape[0] == 1 else estimate_scale(self)
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
@@ -133,9 +144,10 @@ class KdeModel:
     """KDE state for a source/target domain pair, derived from the two
     intra-domain distance matrices and the bandwidth.
 
-    Each domain gets its own median-distance scale. A single-point domain
-    has no pairwise distances, so its scale is fixed at 1 and its Gram is
-    ``[[1]]`` for any bandwidth. The row sums of ``gram_x`` estimate the
+    Each domain gets its own median-distance scale,
+    :attr:`DistanceMatrix.scale`. A single-point domain has no pairwise
+    distances, so its scale is fixed at 1 and its Gram is ``[[1]]`` for
+    any bandwidth. The row sums of ``gram_x`` estimate the
     source marginal density at each sample up to a constant; same for the
     target. Projections kernelize query-to-source distances at the
     projection bandwidth on every call, and take the plan-side factor at
@@ -163,10 +175,9 @@ class KdeModel:
         h = float(self.bandwidth)
         object.__setattr__(self, "bandwidth", h)
         for side, d in (("x", self.dist_x), ("y", self.dist_y)):
-            scale = 1.0 if d.shape[0] == 1 else estimate_scale(d)
-            gram = gaussian_kernel(d.values, h, scale)
+            gram = gaussian_kernel(d.values, h, d.scale)
             gram.flags.writeable = False
-            object.__setattr__(self, f"scale_{side}", scale)
+            object.__setattr__(self, f"scale_{side}", d.scale)
             object.__setattr__(self, f"gram_{side}", gram)
 
     @property

@@ -25,8 +25,8 @@ from ._parallel import parallel_map  # noqa: F401
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        class_conditional_cost, gen_clusters)
-from .kernels import (KdeModel, _euclidean, _integer, _plan_values,
-                      pairwise_distances)
+from .kernels import (DistanceMatrix, KdeModel, _euclidean, _integer,
+                      _plan_values, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -359,14 +359,30 @@ def fit_alignment(source: PointSet, target: PointSet, cfg: SolverConfig,
     intra-domain metric to the class-conditional one, which requires
     labeled source points.
     """
+    return _fit(source, target, cfg, *_distances(source, target,
+                                                  class_penalty))
+
+
+def _distances(source: PointSet, target: PointSet,
+               class_penalty: float | None
+               ) -> tuple[DistanceMatrix, DistanceMatrix, np.ndarray]:
+    """The source and target intra-domain matrices of a fit and its cross
+    cost, as :func:`fit_alignment` defines them."""
     if class_penalty is not None:
         dx = class_conditional_cost(source, class_penalty)
     else:
         dx = pairwise_distances(source, source, kind="intra-source")
     dy = pairwise_distances(target, target, kind="intra-target")
     cross = pairwise_distances(source, target, kind="cross")
-    result = solve_fused_infoot(cross.values, dx, dy,
-                                source.weights, target.weights, cfg)
+    return dx, dy, cross.values
+
+
+def _fit(source: PointSet, target: PointSet, cfg: SolverConfig,
+         dx: DistanceMatrix, dy: DistanceMatrix, cross: np.ndarray
+         ) -> FitResult:
+    """:func:`fit_alignment` on distances already built."""
+    result = solve_fused_infoot(cross, dx, dy, source.weights,
+                                target.weights, cfg)
     return FitResult(result=result, source=source, target=target)
 
 
@@ -513,7 +529,9 @@ def circular_validation(source: PointSet, target: PointSet,
     treating the pseudo-labels as ground truth, project back and classify
     the source points. The score is the fraction of source points whose
     round-trip label survives. Returns the best h (ties prefer smaller h)
-    and the full (h, score) list in ascending h order.
+    and the full (h, score) list in ascending h order. The fits are those
+    of :func:`fit_alignment`, but the distances, which do not depend on h,
+    are built once per sweep.
     """
     if source.labels is None:
         raise ValueError("circular validation needs labeled source points")
@@ -522,17 +540,27 @@ def circular_validation(source: PointSet, target: PointSet,
         raise ValueError("bandwidth grid must be nonempty with positive "
                          "entries")
     projection = projection or ProjectionRequest()
+    # No distance depends on h, so each is built once. The reverse fit
+    # aligns the same points the other way round: its target matrix is the
+    # plain source one and its cross cost the transpose, which is what
+    # fit_alignment would build, bit for bit. Only a class-conditional
+    # source matrix follows the pseudo-labels of each h.
+    dx, dy, cross = _distances(source, target, class_penalty)
+    back_dy = dx if class_penalty is None else pairwise_distances(
+        source, source, kind="intra-target")
+    back_cross = np.ascontiguousarray(cross.T)
     scores = []
     for h in grid:
         cfg_h = replace(cfg, bandwidth=h)
-        forward = fit_alignment(source, target, cfg_h,
-                                class_penalty=class_penalty)
+        forward = _fit(source, target, cfg_h, dx, dy, cross)
         pseudo = nn_classify(project_source(forward, projection),
                              source.labels, target.points)
         pseudo_target = PointSet(target.points, labels=pseudo,
                                  weights=target.weights)
-        reverse = fit_alignment(pseudo_target, source, cfg_h,
-                                class_penalty=class_penalty)
+        back_dx = dy if class_penalty is None else class_conditional_cost(
+            pseudo_target, class_penalty)
+        reverse = _fit(pseudo_target, source, cfg_h, back_dx, back_dy,
+                       back_cross)
         predicted = nn_classify(project_source(reverse, projection),
                                 pseudo, source.points)
         scores.append(float(np.mean(predicted == source.labels)))

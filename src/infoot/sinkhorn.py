@@ -1,21 +1,33 @@
 """Entropic-regularized optimal transport and a small exact-assignment solver.
 
 :func:`sinkhorn` minimizes ``<plan, C> - eps * H(plan)`` over the
-transportation polytope, always in the log domain so small ``eps`` does not
-underflow. It starts with alternating diagonal scaling (Sinkhorn sweeps),
-from zero log-scalings or, given ``init``, from a target potential such as
-the previous solve's in a sequence of nearby costs (Thornton & Cuturi,
-arXiv:2206.07630). Sweeps converge linearly at a rate that degrades as the
-kernel ``exp(-C / eps)`` grows ill-conditioned, and on such problems they
-stall for thousands of iterations. A solve that has not converged after
-``NEWTON_WARMUP`` sweeps is therefore finished by a Sinkhorn-Newton polish
-(Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635): damped Newton steps on
-the dual in the log-scalings, which converge quadratically near the
-solution. The warm-up is short: a warm-started solve mostly converges
-within a few sweeps, and for one that does not, Newton steps are the
-faster way to finish. :func:`exact_assignment` is an O(n^3) Hungarian
-solver for the uniform equal-size special case, kept mainly as an
-independent oracle for tests.
+transportation polytope. It starts with alternating diagonal scaling
+(Sinkhorn sweeps), from zero log-scalings or, given ``init``, from a target
+potential such as the previous solve's in a sequence of nearby costs
+(Thornton & Cuturi, arXiv:2206.07630). Sweeps converge linearly at a rate
+that degrades as the kernel ``exp(-C / eps)`` grows ill-conditioned, and on
+such problems they stall for thousands of iterations. A solve that has not
+converged after ``NEWTON_WARMUP`` sweeps is therefore finished by a
+Sinkhorn-Newton polish (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635):
+damped Newton steps on the dual in the log-scalings, which converge
+quadratically near the solution. The warm-up is short: a warm-started
+solve mostly converges within a few sweeps, and for one that does not,
+Newton steps are the faster way to finish.
+
+Sweeps and Newton steps both run in the scaling domain on a stabilized
+kernel (Schmitzer, arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567,
+section 4.4). The plan is ``diag(u) K diag(v)`` with
+``K = exp(S + a + b)``, ``S = -C / eps``, built with one ``exp`` pass
+from log potentials ``a, b``; an update then costs a mat-vec with ``K``
+instead of a log-sum-exp over ``S``. Small ``eps`` cannot underflow it:
+when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K`` underflows,
+the scalings are absorbed into ``(a, b)`` and ``K`` is rebuilt. What
+leaves the module is log potentials, and the returned plan is
+``exp(S + a + b)`` of them, so its tiny entries are what a log-domain
+solver gives; the kernel keeps its name, ``sinkhorn_log_kernel``, for
+that contract. :func:`exact_assignment` is an O(n^3) Hungarian solver
+for the uniform equal-size special case, kept mainly as an independent
+oracle for tests.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _plan_values, _readonly
+from .kernels import _integer, _plan_values, _readonly
 
 __all__ = [
     "CouplingMatrix",
@@ -49,6 +61,10 @@ _MAX_HALVINGS = 30
 # can disconnect it.
 _RIDGE = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)
+# Safe range of the scalings on a stabilized kernel; outside it they are
+# folded into the log potentials and the kernel is rebuilt.
+_SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
+_LOG_SCALE_MAX = math.log(_SCALE_MAX)
 
 
 def check_marginal(w, name: str = "marginal") -> np.ndarray:
@@ -129,50 +145,75 @@ class SinkhornReport:
             raise ValueError(f"violation must be nonnegative, got {self.violation}")
 
 
-def logsumexp(X, axis: int) -> np.ndarray:
-    """Max-shifted ``log(sum(exp(X)))`` along ``axis`` of a finite 2-d array.
+def _in_range(x: np.ndarray) -> bool:
+    """Whether every scaling in ``x`` lies in ``[_SCALE_MIN, _SCALE_MAX]``;
+    written so that NaN fails it."""
+    return bool(x.min() >= _SCALE_MIN and x.max() <= _SCALE_MAX)
 
-    Written out instead of calling ``scipy.special.logsumexp``, whose
-    argument handling dominates its cost on the small matrices Sinkhorn
-    sees.
+
+def _peaked_kernel(S, b):
+    """``(a, K)`` with ``K = exp(S + a[:, None] + b[None, :])`` and
+    ``a = -max_j (S + b)``, so every row of ``K`` peaks at exactly 1 and its
+    sums can neither underflow nor overflow. ``K`` takes the layout of
+    ``S``; pass ``S.T`` and transpose ``K`` to peak the columns instead.
+
+    ``p / K.sum(axis=1)`` is then the exact row scaling for the target
+    potential ``b``: the log-domain row update taken with one ``exp`` pass.
     """
-    mx = X.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(X - mx).sum(axis=axis, keepdims=True)) + mx
-    return out.squeeze(axis)
+    K = S + b[None, :]
+    a = -K.max(axis=1)
+    K += a[:, None]
+    return a, np.exp(K, out=K)
 
 
 def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
-    """Run stabilized Sinkhorn scaling on the log-kernel ``S``.
+    """Run stabilized Sinkhorn sweeps on the log-kernel ``S``.
 
-    Alternating potential updates with
-    ``log(plan) = a[:, None] + b[None, :] + S``, starting from the target
-    log-scaling ``b`` (zero when omitted) and stopped on the L1 violation
-    of both marginals. Returns ``(a, b, iterations, violation, converged)``
-    where ``a`` and ``b`` are the log-domain scalings.
+    The plan is ``diag(u) K diag(v)`` with ``K = exp(S + a + b)`` built
+    once from log potentials ``a, b``, and the sweeps update only the
+    scalings: ``u = p / (K v)``, ``v = q / (K^T u)``. Should ``u`` or
+    ``v`` leave ``[_SCALE_MIN, _SCALE_MAX]``, or a row or column sum of
+    ``K`` underflow, the scalings are folded into ``(a, b)`` and that
+    update is redone in the log domain, rebuilding ``K`` with one ``exp``
+    pass (absorption). Starts from the target log-scaling ``b`` (zero when
+    omitted) and stops on the L1 violation of both marginals. Returns
+    ``(a, b, iterations, violation, converged)`` where ``a`` and ``b`` are
+    the log-domain scalings of the last iterate.
     """
     S = np.asarray(S, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    logp = np.log(p)
-    logq = np.log(q)
-    a = np.zeros(S.shape[0])
+    b = np.zeros(S.shape[1]) if b is None else np.asarray(b, dtype=float)
+    a, K = _peaked_kernel(S, b)
+    v = np.ones(S.shape[1])
+    # The row sums that measure the row violation of one iterate are the
+    # ones the next row update needs, so each iteration makes two mat-vecs.
+    Kv = K.sum(axis=1)
     viol = np.inf
-    # The row log-sum-exp that measures the row violation of one iterate is
-    # the one the next row update needs, so each iteration makes two passes.
-    if b is None:
-        b = np.zeros(S.shape[1])
-    row_lse = logsumexp(S + b[None, :], axis=1)
-    for it in range(1, max_iter + 1):
-        a = logp - row_lse
-        col_lse = logsumexp(S + a[:, None], axis=0)
-        b = logq - col_lse
-        col_viol = np.abs(np.exp(b + col_lse) - q).sum()
-        row_lse = logsumexp(S + b[None, :], axis=1)
-        row_viol = np.abs(np.exp(a + row_lse) - p).sum()
-        viol = row_viol + col_viol
-        if viol <= tol:
-            return a, b, it, float(viol), True
-    return a, b, max_iter, float(viol), False
+    # An underflowed sum divides to inf, which the range checks catch.
+    with np.errstate(divide="ignore", over="ignore"):
+        for it in range(1, max_iter + 1):
+            u = p / Kv
+            if not _in_range(u):
+                b = b + np.log(v)
+                a, K = _peaked_kernel(S, b)
+                u = p / K.sum(axis=1)
+            Ktu = u @ K
+            v = q / Ktu
+            if not _in_range(v):
+                a = a + np.log(u)
+                b, K = _peaked_kernel(S.T, a)
+                K = K.T
+                u = np.ones_like(u)
+                Ktu = K.sum(axis=0)
+                v = q / Ktu
+            col_viol = np.abs(v * Ktu - q).sum()
+            Kv = K @ v
+            row_viol = np.abs(u * Kv - p).sum()
+            viol = row_viol + col_viol
+            if viol <= tol:
+                return a + np.log(u), b + np.log(v), it, float(viol), True
+    return a + np.log(u), b + np.log(v), max_iter, float(viol), False
 
 
 def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
@@ -185,7 +226,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     potential in cost units, as in ``report.potential_target``; passing the
     potential of a solve on a nearby cost (a warm start) saves most of the
     iterations, and ``None`` starts from zero. The first ``NEWTON_WARMUP``
-    iterations are log-domain Sinkhorn sweeps; a solve still unconverged
+    iterations are stabilized Sinkhorn sweeps; a solve still unconverged
     after them continues with damped Sinkhorn-Newton steps, each followed by
     an exact scaling of the smaller side so the plan keeps unit mass. Newton
     steps count toward ``max_iter`` and ``report.iterations`` like sweeps
@@ -201,6 +242,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         raise ValueError("cost matrix contains non-finite entries")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    max_iter = _integer("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not tol > 0:
@@ -221,7 +263,6 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         init = init / eps
 
     S = np.ascontiguousarray(-C / eps)
-    max_iter = int(max_iter)
     a, b, iters, viol, converged = sinkhorn_log_kernel(
         S, p, q, min(max_iter, NEWTON_WARMUP), tol, init)
     newton_steps = 0
@@ -264,6 +305,10 @@ def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
     its Schur complement on the smaller side, so memory stays O(nm).
     Each accepted step is followed by the exact scaling of the smaller
     side, which only increases the dual further and restores unit mass.
+    As in the sweeps, the plan is ``diag(u) K diag(v)`` on a kernel
+    ``K = exp(S + a + b)``: a step multiplies ``u`` by ``exp(t * da)``,
+    the column scaling ``v`` costs one mat-vec, and the scalings are
+    absorbed into ``(a, b)`` when they leave their safe range.
     Returns the kernel's ``(a, b, iterations, violation, converged)``,
     counting one iteration per Newton step, and returns early,
     unconverged, when backtracking finds no step that increases the dual.
@@ -273,34 +318,47 @@ def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
             S.T, q, p, b, a, iters, max_iter, tol)
         return a, b, iters, viol, converged
     n, m = S.shape
-    logq = np.log(q)
     log_nm = math.log(n * m)
-    # The plan is rebuilt in place: at n = m = 300 each n x m temporary is
-    # 0.7 MB. It takes the memory layout of S, which is transposed when the
-    # target side is the larger, so its sums round as on exp(S + a + b).
-    plan = np.empty_like(S)
-    np.add(S, a[:, None], out=plan)
-    plan += b[None, :]
-    np.exp(plan, out=plan)
+    # K and the plan take the memory layout of S, which is transposed when
+    # the target side is the larger; the plan is rebuilt in place.
+    K = np.empty_like(S)
+    np.add(S, a[:, None], out=K)
+    K += b[None, :]
+    np.exp(K, out=K)
+    plan = K.copy()
+    # The row scaling is kept as its log, so a step cannot overflow it.
+    log_u = np.zeros(n)
+    v = np.ones(m)
     r, c = plan.sum(axis=1), plan.sum(axis=0)
     viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-    while iters < max_iter:
-        gp, gq = p - r, q - c
-        da, db = _newton_direction(plan, r, c, gp, gq)
-        t = _armijo_step(plan, da, db, float(gp @ da + gq @ db), log_nm)
-        if t is None:
-            return a, b, iters, viol, False
-        a = a + t * da
-        b = logq - logsumexp(S + a[:, None], axis=0)
-        iters += 1
-        np.add(S, a[:, None], out=plan)
-        plan += b[None, :]
-        np.exp(plan, out=plan)
-        r, c = plan.sum(axis=1), plan.sum(axis=0)
-        viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-        if viol <= tol:
-            return a, b, iters, viol, True
-    return a, b, iters, viol, False
+    with np.errstate(divide="ignore", over="ignore"):
+        while iters < max_iter:
+            gp, gq = p - r, q - c
+            da, db = _newton_direction(plan, r, c, gp, gq)
+            t = _armijo_step(plan, da, db, float(gp @ da + gq @ db), log_nm)
+            if t is None:
+                return a + log_u, b + np.log(v), iters, viol, False
+            log_u = log_u + t * da
+            iters += 1
+            absorb = not np.abs(log_u).max() <= _LOG_SCALE_MAX
+            if not absorb:
+                u = np.exp(log_u)
+                v = q / (u @ K)
+                absorb = not _in_range(v)
+            if absorb:
+                a = a + log_u
+                b, K = _peaked_kernel(S.T, a)
+                K = K.T
+                log_u = np.zeros(n)
+                u = np.ones(n)
+                v = q / K.sum(axis=0)
+            np.multiply(K, u[:, None], out=plan)
+            plan *= v[None, :]
+            r, c = plan.sum(axis=1), plan.sum(axis=0)
+            viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
+            if viol <= tol:
+                return a + log_u, b + np.log(v), iters, viol, True
+    return a + log_u, b + np.log(v), iters, viol, False
 
 
 def _newton_direction(plan, r, c, gp, gq):

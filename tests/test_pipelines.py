@@ -2,12 +2,13 @@
 
 import json
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import run_child
 
-from infoot import (EvalReport, ExperimentSpec, GeneratorConfig,
+from infoot import (EvalReport, ExperimentSpec, GeneratorConfig, PointSet,
                     ProjectionRequest, SolverConfig, adaptation_pipeline,
                     circular_validation, cluster_coherence, gen_clusters,
                     load_spec, nn_classify, outlier_hits, precision_at_k,
@@ -15,6 +16,7 @@ from infoot import (EvalReport, ExperimentSpec, GeneratorConfig,
                     stratified_holdout, validate_bandwidth_pipeline,
                     version_stamp)
 from infoot._version import __version__
+from infoot.kernels import _euclidean
 
 FAST = dict(outer_iters=20, inner_max_iter=2000, inner_tol=1e-8)
 
@@ -405,3 +407,109 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
                                         [0.5, 0.3])
     assert [h for h, _ in pairs] == [0.3, 0.5]
     assert chosen in (0.3, 0.5)
+
+
+def _sweep_by_fits(source, target, cfg, grid, class_penalty=None):
+    """Reference: circular validation with one fit_alignment per fit,
+    each building its own distances."""
+    import infoot.pipelines as pipelines
+
+    request = ProjectionRequest()
+    grid = sorted(grid)
+    scores = []
+    for h in grid:
+        cfg_h = replace(cfg, bandwidth=h)
+        forward = pipelines.fit_alignment(source, target, cfg_h,
+                                          class_penalty=class_penalty)
+        pseudo = nn_classify(pipelines.project_source(forward, request),
+                             source.labels, target.points)
+        pseudo_target = PointSet(target.points, labels=pseudo,
+                                 weights=target.weights)
+        reverse = pipelines.fit_alignment(pseudo_target, source, cfg_h,
+                                          class_penalty=class_penalty)
+        predicted = nn_classify(pipelines.project_source(reverse, request),
+                                pseudo, source.points)
+        scores.append(float(np.mean(predicted == source.labels)))
+    return grid[int(np.argmax(scores))], list(zip(grid, scores))
+
+
+@pytest.mark.parametrize("class_penalty", [None, 2.0])
+def test_sweep_equals_one_fit_alignment_per_fit(monkeypatch, class_penalty):
+    # Distances built once per sweep give the fits that per-fit distances
+    # give, bit for bit: the same plans, scores and chosen h.
+    import infoot.pipelines as pipelines
+
+    plans = []
+    solve = pipelines.solve_fused_infoot
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        plans.append(result.coupling.values)
+        return result
+
+    monkeypatch.setattr(pipelines, "solve_fused_infoot", recorded)
+    sample = gen_clusters(GeneratorConfig(sizes=(8, 8), seed=0,
+                                          rotation=1.2, spread=0.6))
+    cfg = SolverConfig(lam=100.0, bandwidth=0.5, **FAST)
+    grid = [0.8, 0.2, 0.4]
+    got = circular_validation(sample.source, sample.target, cfg, grid,
+                              class_penalty=class_penalty)
+    hoisted = plans[:]
+    plans.clear()
+    want = _sweep_by_fits(sample.source, sample.target, cfg, grid,
+                          class_penalty=class_penalty)
+    assert got == want
+    if class_penalty is None:
+        assert got[1][0] == (0.2, 0.9375)  # not a sweep of ties
+    assert len(hoisted) == len(plans) == 2 * len(grid)
+    assert all(np.array_equal(x, y) for x, y in zip(hoisted, plans))
+
+
+@pytest.mark.parametrize("class_penalty", [None, 2.0])
+def test_sweep_builds_each_distance_once(monkeypatch, class_penalty):
+    import infoot.kernels
+    import infoot.pipelines as pipelines
+
+    calls, scales = [], []
+    distances = pipelines.pairwise_distances
+    estimate = infoot.kernels.estimate_scale
+
+    def counted(a, b, kind=None):
+        calls.append(kind)
+        return distances(a, b, kind)
+
+    def counted_scale(d):
+        scales.append(d)
+        return estimate(d)
+
+    monkeypatch.setattr(pipelines, "pairwise_distances", counted)
+    monkeypatch.setattr(infoot.kernels, "estimate_scale", counted_scale)
+    sample = gen_clusters(GeneratorConfig(sizes=(6, 6), seed=8,
+                                          rotation=0.2))
+    cfg = SolverConfig(lam=100.0, bandwidth=0.5, **FAST)
+    grid = [0.3, 0.5, 0.7]
+    circular_validation(sample.source, sample.target, cfg, grid,
+                        class_penalty=class_penalty)
+    if class_penalty is None:
+        # Source, target and cross: none depends on h, and the reverse
+        # fit reuses them with the sides swapped.
+        assert sorted(calls) == ["cross", "intra-source", "intra-target"]
+        assert len(scales) == 2
+    else:
+        # The plain source matrix serves only the reverse fit; each
+        # h's pseudo-labels give the reverse fit its own class-conditional
+        # source matrix, built outside this module.
+        assert sorted(calls) == ["cross", "intra-target", "intra-target"]
+        assert len(scales) == 3 + len(grid)
+
+
+def test_euclidean_is_symmetric_bitwise():
+    # The sweep hands the reverse fit the transpose of the forward cross
+    # matrix in place of a new one; that is exact only because swapping
+    # the point sets changes no rounding.
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 5):
+        for scale in (1e-3, 1.0, 1e3):
+            a = scale * rng.normal(size=(9, d))
+            b = scale * rng.normal(size=(13, d))
+            assert np.array_equal(_euclidean(b, a), _euclidean(a, b).T)

@@ -7,6 +7,7 @@ assignment values were frozen from factorial enumeration.
 
 import importlib
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -163,6 +164,13 @@ def test_sinkhorn_input_validation():
         sinkhorn(np.zeros((2, 2)), p, q, eps=0.0)
     with pytest.raises(ValueError):
         sinkhorn(np.zeros((2, 3)), p, q, eps=1.0)  # shape mismatch
+    # Iteration limits are integers, as in SolverConfig: a float or a bool
+    # would otherwise be truncated to another budget without a word.
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match="max_iter"):
+            sinkhorn(C3, P3, Q3, eps=0.1, max_iter=bad)
+    _, report = sinkhorn(C3, P3, Q3, eps=0.1, max_iter=np.int64(3))
+    assert report.iterations <= 3
 
 
 def test_sinkhorn_small_eps_large_cost_is_stable():
@@ -350,3 +358,176 @@ def test_assignment_guards():
         exact_assignment(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         exact_assignment(np.zeros((65, 65)))
+
+
+def _log_domain_sweeps(S, p, q, max_iter, tol, b=None):
+    """Reference: Sinkhorn sweeps on the log potentials, two log-sum-exp
+    passes per iteration, with no scaling kernel and so nothing to absorb.
+    Same contract as ``sinkhorn_log_kernel``."""
+    def lse(X, axis):
+        mx = X.max(axis=axis, keepdims=True)
+        return (np.log(np.exp(X - mx).sum(axis=axis, keepdims=True))
+                + mx).squeeze(axis)
+
+    logp, logq = np.log(p), np.log(q)
+    a = np.zeros(S.shape[0])
+    b = np.zeros(S.shape[1]) if b is None else b
+    viol = np.inf
+    row_lse = lse(S + b[None, :], axis=1)
+    for it in range(1, max_iter + 1):
+        a = logp - row_lse
+        col_lse = lse(S + a[:, None], axis=0)
+        b = logq - col_lse
+        col_viol = np.abs(np.exp(b + col_lse) - q).sum()
+        row_lse = lse(S + b[None, :], axis=1)
+        row_viol = np.abs(np.exp(a + row_lse) - p).sum()
+        viol = row_viol + col_viol
+        if viol <= tol:
+            return a, b, it, float(viol), True
+    return a, b, max_iter, float(viol), False
+
+
+def _absorbing_instance(n, m):
+    rng = np.random.default_rng(0)
+    p = rng.uniform(0.5, 1.5, n)
+    q = rng.uniform(0.5, 1.5, m)
+    return rng.uniform(0, 1, (n, m)), p / p.sum(), q / q.sum()
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """Names of the functions that built a stabilized kernel, in call
+    order. The kernel builds one when it starts, the polish does not, so
+    every later build in the kernel and every build in the polish is an
+    absorption."""
+    module = importlib.import_module("infoot.sinkhorn")
+    original = module._peaked_kernel
+    callers = []
+
+    def spy(S, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(S, b)
+
+    monkeypatch.setattr(module, "_peaked_kernel", spy)
+    return callers
+
+
+def _assert_same_solution(coupling, report, S, p, q, eps):
+    # The entropic optimum is unique and its potentials are unique up to
+    # one constant moved between the sides.
+    a, b, _, _, done = _log_domain_sweeps(S, p, q, 100000, 1e-13)
+    assert done
+    reference = np.exp(a[:, None] + b[None, :] + S)
+    np.testing.assert_allclose(coupling.values, reference, rtol=0, atol=1e-11)
+    shift = report.potential_source / eps - a
+    np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-8)
+    np.testing.assert_allclose(report.potential_target / eps - b, -shift[0],
+                               rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
+def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape,
+                                                         kernel_builds):
+    # exp underflows below -745, so a kernel exp(-C / eps) over this span
+    # loses whole columns unless the scalings are folded back into the
+    # log potentials.
+    C, p, q = _absorbing_instance(*shape)
+    eps = 1 / 2000
+    S = np.ascontiguousarray(-C / eps)
+    assert np.ptp(S) > 1500
+    # The sweeps follow the log-domain iterates themselves, not just the
+    # solution they converge to.
+    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, 40, 1e-300)
+    ra, rb, rit, rviol, _ = _log_domain_sweeps(S, p, q, 40, 1e-300)
+    assert it == rit == 40 and abs(viol - rviol) <= 1e-12
+    np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b, rb, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.exp(a[:, None] + b[None, :] + S),
+                               np.exp(ra[:, None] + rb[None, :] + S),
+                               rtol=0, atol=1e-12)
+    kernel_builds.clear()
+    coupling, report = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
+    assert report.converged and report.newton_steps > 0
+    assert "_newton_polish" in kernel_builds
+    _assert_same_solution(coupling, report, S, p, q, eps)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
+@pytest.mark.parametrize("sweeps", [1, NEWTON_WARMUP])
+def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps,
+                                                kernel_builds):
+    # A target potential from some other problem: one column sits so far
+    # below the others that its sum on the first kernel underflows to 0.
+    C, p, q = _absorbing_instance(*shape)
+    eps = 0.02
+    S = np.ascontiguousarray(-C / eps)
+    init = 1000 * eps * np.random.default_rng(100).normal(size=shape[1])
+    first = S + init[None, :] / eps
+    first = np.exp(first - first.max(axis=1, keepdims=True))
+    assert first.sum(axis=0).min() == 0.0
+    # One sweep ends on the absorbing one, so what it returns is what the
+    # absorption left.
+    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, sweeps, 1e-300,
+                                            init / eps)
+    assert kernel_builds.count("sinkhorn_log_kernel") > 1
+    ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, sweeps, 1e-300,
+                                             init / eps)
+    assert abs(viol - rviol) <= 1e-12
+    np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b, rb, rtol=0, atol=1e-9)
+    coupling, report = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12,
+                                init=init)
+    assert report.converged and report.newton_steps > 0
+    _assert_same_solution(coupling, report, S, p, q, eps)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
+def test_sweeps_absorb_row_scalings_below_range(shape, kernel_builds):
+    # A row peaked at 1 keeps its sum above 1, so a row scaling leaves the
+    # safe range only through its marginal: here one row's mass is 1e-60,
+    # below the range, and every sweep folds the row scalings back.
+    C, p, q = _absorbing_instance(*shape)
+    p[1] = 1e-60
+    p /= p.sum()
+    S = np.ascontiguousarray(-C / 0.02)
+    b0 = np.random.default_rng(3).normal(size=shape[1])
+    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, 20, 1e-300, b0)
+    assert kernel_builds.count("sinkhorn_log_kernel") == 1 + 20
+    ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, 20, 1e-300, b0)
+    assert abs(viol - rviol) <= 1e-12
+    np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b, rb, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
+@pytest.mark.parametrize("side, drop", [("cols", 1000.0), ("cols", 200.0),
+                                        ("rows", 200.0)])
+def test_polish_absorbs_out_of_range_scalings(shape, side, drop,
+                                              kernel_builds):
+    # The polish is started from converged potentials with one of them
+    # lowered by ``drop``. Its kernel's columns are the smaller side, so
+    # the potential belongs to b when n > m and to a when n < m. A column
+    # lowered by 1000 underflows to all zeros; one lowered by 200 needs a
+    # column scaling of about exp(200) and a row lowered by 200 a row
+    # scaling of about exp(200), both past the safe range.
+    sinkhorn_module = importlib.import_module("infoot.sinkhorn")
+    C, p, q = _absorbing_instance(*shape)
+    S = np.ascontiguousarray(-C / 0.02)
+    a, b, _, _, done = _log_domain_sweeps(S, p, q, 100000, 1e-13)
+    assert done
+    a0, b0 = a.copy(), b.copy()
+    on_cols = (side == "cols") == (shape[0] > shape[1])
+    (b0 if on_cols else a0)[1] -= drop
+    start = np.exp(a0[:, None] + b0[None, :] + S)
+    lost = min(start.sum(axis=0).min(), start.sum(axis=1).min()) == 0.0
+    assert lost == (drop == 1000.0)
+    a1, b1, _, viol, converged = sinkhorn_module._newton_polish(
+        S, p, q, a0, b0, 0, 100, 1e-12)
+    assert converged and viol <= 1e-12
+    assert "_newton_polish" in kernel_builds
+    np.testing.assert_allclose(np.exp(a1[:, None] + b1[None, :] + S),
+                               np.exp(a[:, None] + b[None, :] + S),
+                               rtol=0, atol=1e-12)
+    shift = a1 - a
+    np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(b1 - b, -shift[0], rtol=0, atol=1e-9)

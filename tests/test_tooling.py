@@ -16,6 +16,8 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
@@ -38,6 +40,37 @@ def test_traced_names_exist(monkeypatch):
     for mod in spans._PARALLEL_USERS:
         assert hasattr(importlib.import_module(mod), "parallel_map"), mod
     assert callable(importlib.import_module("infoot._parallel").thread_count)
+
+
+def test_kernel_span_carries_what_the_layer_metrics_read(monkeypatch):
+    # The benchmark's core.kernel.* metrics read the kernel's arguments
+    # (the shape of S) and its result (iterations, convergence flag). A
+    # solve that reaches the Newton polish calls the kernel once for its
+    # warm-up sweeps.
+    import infoot.cli  # noqa: F401  (install patches the CLI's names too)
+    from infoot import sinkhorn
+
+    spans = _load_spans(monkeypatch)
+    rng = np.random.default_rng(7)
+    C = rng.uniform(0, 1, (6, 11))
+    p = rng.uniform(0.5, 1.5, 6)
+    q = rng.uniform(0.5, 1.5, 11)
+    tracer = spans.Tracer()
+    saved = spans.install(tracer)
+    try:
+        _, report = sinkhorn(C, p / p.sum(), q / q.sum(), eps=0.02,
+                             max_iter=20000, tol=1e-12)
+    finally:
+        spans.uninstall(saved)
+    assert report.converged and report.newton_steps > 0
+    kernel = [s for s in tracer.spans if s.name == "_core.kernel"]
+    assert kernel
+    for span in kernel:
+        assert span.attrs["n"] == 6 and span.attrs["m"] == 11
+        assert span.attrs["iters"] >= 1
+        assert isinstance(span.attrs["converged"], bool)
+    assert kernel[0].attrs == {"n": 6, "m": 11, "iters": 5,
+                               "converged": False}
 
 
 def test_cli_looks_up_traced_names_when_a_command_runs(monkeypatch,
