@@ -165,6 +165,14 @@ def class_conditional_cost(points: PointSet,
         raise ValueError("class-conditional cost needs labeled points")
     if not penalty >= 0:
         raise ValueError("penalty must be nonnegative")
-    d = pairwise_distances(points, points).values
-    mismatch = points.labels[:, None] != points.labels[None, :]
+    return _class_penalized(pairwise_distances(points, points).values,
+                            points.labels, penalty)
+
+
+def _class_penalized(d: np.ndarray, labels: np.ndarray,
+                     penalty: float) -> DistanceMatrix:
+    """The class-conditional matrix of the euclidean distances ``d`` of
+    points carrying ``labels``; :func:`class_conditional_cost` is this on
+    distances it builds, so a caller holding them gets the same bits."""
+    mismatch = labels[:, None] != labels[None, :]
     return DistanceMatrix(d + penalty * mismatch, kind="intra-source")

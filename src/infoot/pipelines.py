@@ -24,7 +24,7 @@ import numpy as np
 from ._parallel import parallel_map  # noqa: F401
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
-                       class_conditional_cost, gen_clusters)
+                       _class_penalized, class_conditional_cost, gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, _euclidean, _integer,
                       _plan_values, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
@@ -32,6 +32,7 @@ from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
 from .projection import (ProjectionRequest, ScoreMatrix, barycentric_project,
                          conditional_project, importance_scores)
+from .sinkhorn import CouplingMatrix
 from .solver import AlignmentResult, SolverConfig, solve_fused_infoot
 
 __all__ = [
@@ -386,6 +387,27 @@ def _fit(source: PointSet, target: PointSet, cfg: SolverConfig,
     return FitResult(result=result, source=source, target=target)
 
 
+def _transposed(fit: FitResult, source: PointSet) -> FitResult:
+    """The fit of the reverse problem, from ``fit.target`` (as ``source``,
+    the same points and weights, relabeled) back to ``fit.source``, read
+    off ``fit`` without a solve. Only for fits without a class penalty.
+
+    The map (P, C, K_X, K_Y, p, q) -> (P^T, C^T, K_Y, K_X, q, p) leaves
+    ``<P, C> - lam * MI(P)`` and every mirror-descent step unchanged and
+    takes the start ``p q^T`` to ``q p^T``, so the reverse plan is the
+    forward plan transposed, to the inner tolerance. Traces, flags and
+    diagnostics are the forward fit's.
+    """
+    result = fit.result
+    plan, model = result.coupling, result.model
+    coupling = CouplingMatrix(plan.values.T, plan.col_marginal,
+                              plan.row_marginal, strict=plan.strict)
+    reverse = replace(result, coupling=coupling,
+                      model=KdeModel(model.dist_y, model.dist_x,
+                                     model.bandwidth))
+    return FitResult(result=reverse, source=source, target=fit.source)
+
+
 def project_source(fit: FitResult,
                    request: ProjectionRequest) -> np.ndarray:
     """Map every training source point per the requested projection mode."""
@@ -532,6 +554,13 @@ def circular_validation(source: PointSet, target: PointSet,
     and the full (h, score) list in ascending h order. The fits are those
     of :func:`fit_alignment`, but the distances, which do not depend on h,
     are built once per sweep.
+
+    Without a class penalty each h is solved once: the reverse problem is
+    the forward one transposed, so its fit is read off the forward fit
+    (:func:`_transposed`) instead of being solved again. Its plan then
+    equals a solved reverse plan to the inner tolerance, not bit for bit.
+    With a class penalty the reverse fit is solved, as its source matrix
+    follows the pseudo-labels of each h.
     """
     if source.labels is None:
         raise ValueError("circular validation needs labeled source points")
@@ -540,15 +569,15 @@ def circular_validation(source: PointSet, target: PointSet,
         raise ValueError("bandwidth grid must be nonempty with positive "
                          "entries")
     projection = projection or ProjectionRequest()
-    # No distance depends on h, so each is built once. The reverse fit
+    # No distance depends on h, so each is built once. A solved reverse fit
     # aligns the same points the other way round: its target matrix is the
     # plain source one and its cross cost the transpose, which is what
-    # fit_alignment would build, bit for bit. Only a class-conditional
-    # source matrix follows the pseudo-labels of each h.
+    # fit_alignment would build, bit for bit. Its class-conditional source
+    # matrix follows the pseudo-labels of each h, on the target distances.
     dx, dy, cross = _distances(source, target, class_penalty)
-    back_dy = dx if class_penalty is None else pairwise_distances(
-        source, source, kind="intra-target")
-    back_cross = np.ascontiguousarray(cross.T)
+    if class_penalty is not None:
+        back_dy = pairwise_distances(source, source, kind="intra-target")
+        back_cross = np.ascontiguousarray(cross.T)
     scores = []
     for h in grid:
         cfg_h = replace(cfg, bandwidth=h)
@@ -557,10 +586,12 @@ def circular_validation(source: PointSet, target: PointSet,
                              source.labels, target.points)
         pseudo_target = PointSet(target.points, labels=pseudo,
                                  weights=target.weights)
-        back_dx = dy if class_penalty is None else class_conditional_cost(
-            pseudo_target, class_penalty)
-        reverse = _fit(pseudo_target, source, cfg_h, back_dx, back_dy,
-                       back_cross)
+        if class_penalty is None:
+            reverse = _transposed(forward, pseudo_target)
+        else:
+            back_dx = _class_penalized(dy.values, pseudo, class_penalty)
+            reverse = _fit(pseudo_target, source, cfg_h, back_dx, back_dy,
+                           back_cross)
         predicted = nn_classify(project_source(reverse, projection),
                                 pseudo, source.points)
         scores.append(float(np.mean(predicted == source.labels)))

@@ -95,9 +95,33 @@ class CouplingMatrix:
     strict: bool = True
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
         p = check_marginal(self.row_marginal, "row marginal")
         q = check_marginal(self.col_marginal, "col marginal")
+        self._settle(np.asarray(self.values, dtype=float), p, q)
+
+    @classmethod
+    def _of_solve(cls, vals, p, q, converged: bool) -> CouplingMatrix:
+        """The plan ``vals`` of a solve over marginals that have passed
+        :func:`check_marginal`, strict when the solve converged and the
+        plan meets ``MARGINAL_TOL``.
+
+        Strictness reflects the plan actually produced: a loose solver
+        tolerance can stop short of the class invariant even when the
+        iteration converged in the caller's sense. The plan gets every
+        check of the constructor, its deviation from the marginals computed
+        once; the marginals themselves are not checked again.
+        """
+        dev = cls.marginal_violation(vals, p, q)
+        self = object.__new__(cls)
+        object.__setattr__(self, "strict",
+                           bool(converged) and max(dev) <= MARGINAL_TOL)
+        self._settle(vals, p, q, dev)
+        return self
+
+    def _settle(self, vals, p, q, dev=None):
+        """Check the plan against the checked marginals ``p, q``, reusing
+        its largest deviations ``dev`` from them when given, then store
+        read-only copies."""
         if vals.shape != (p.size, q.size):
             raise ValueError(f"plan shape {vals.shape} does not match marginals "
                              f"({p.size}, {q.size})")
@@ -106,10 +130,11 @@ class CouplingMatrix:
         if not abs(vals.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"plan mass must be 1, got {vals.sum()!r}")
         if self.strict:
-            err = self.marginal_violation(vals, p, q)
-            if not max(err) <= MARGINAL_TOL:
-                raise ValueError(f"plan violates marginals: max row dev {err[0]:.3e}, "
-                                 f"max col dev {err[1]:.3e}")
+            if dev is None:
+                dev = self.marginal_violation(vals, p, q)
+            if not max(dev) <= MARGINAL_TOL:
+                raise ValueError(f"plan violates marginals: max row dev "
+                                 f"{dev[0]:.3e}, max col dev {dev[1]:.3e}")
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "row_marginal", _readonly(p))
         object.__setattr__(self, "col_marginal", _readonly(q))
@@ -277,12 +302,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
             S, p, q, max_iter - iters, tol, b)
         iters += more
     plan = np.exp(a[:, None] + b[None, :] + S)
-    # Feasibility strictness reflects the plan actually produced: a loose
-    # caller tolerance can stop short of the class invariant even when the
-    # iteration "converged" in the caller's sense.
-    dev = CouplingMatrix.marginal_violation(plan, p, q)
-    strict = bool(converged) and max(dev) <= MARGINAL_TOL
-    coupling = CouplingMatrix(plan, p, q, strict=strict)
+    coupling = CouplingMatrix._of_solve(plan, p, q, converged)
     report = SinkhornReport(
         iterations=int(iters),
         violation=float(viol),

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _density_ratio, _integer,
                       _plan_values, build_kde_model)
-from .sinkhorn import (MARGINAL_TOL, CouplingMatrix, SinkhornReport,
-                       check_marginal, entropy, sinkhorn)
+from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
+                       entropy, sinkhorn)
 
 __all__ = [
     "SolverConfig",
@@ -168,9 +168,11 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     converged = outer_converged and inner_ok
     rises = np.diff(objective_trace)
     max_rise = float(rises.max()) if rises.size else 0.0
-    dev = CouplingMatrix.marginal_violation(g, p, q)
-    strict = inner_ok and max(dev) <= MARGINAL_TOL
-    coupling = CouplingMatrix(g, p, q, strict=strict)
+    # The last solve has checked its plan, g, and made it strict only if it
+    # converged and meets MARGINAL_TOL; the fit's plan is strict only if
+    # every inner solve converged.
+    if coupling.strict and not inner_ok:
+        coupling = replace(coupling, strict=False)
     return AlignmentResult(
         coupling=coupling,
         objective_trace=objective_trace,

@@ -436,7 +436,9 @@ def _sweep_by_fits(source, target, cfg, grid, class_penalty=None):
 @pytest.mark.parametrize("class_penalty", [None, 2.0])
 def test_sweep_equals_one_fit_alignment_per_fit(monkeypatch, class_penalty):
     # Distances built once per sweep give the fits that per-fit distances
-    # give, bit for bit: the same plans, scores and chosen h.
+    # give, bit for bit: the same plans, scores and chosen h. Without a
+    # class penalty only the forward fits are solved; the reverse plans
+    # are their transposes, which give the same scores here.
     import infoot.pipelines as pipelines
 
     plans = []
@@ -459,10 +461,70 @@ def test_sweep_equals_one_fit_alignment_per_fit(monkeypatch, class_penalty):
     want = _sweep_by_fits(sample.source, sample.target, cfg, grid,
                           class_penalty=class_penalty)
     assert got == want
+    assert len(plans) == 2 * len(grid)
     if class_penalty is None:
         assert got[1][0] == (0.2, 0.9375)  # not a sweep of ties
-    assert len(hoisted) == len(plans) == 2 * len(grid)
+        assert len(hoisted) == len(grid)
+        plans = plans[::2]  # the forward fits
+    else:
+        assert len(hoisted) == 2 * len(grid)
     assert all(np.array_equal(x, y) for x, y in zip(hoisted, plans))
+
+
+def _weighted(points: PointSet, rng) -> PointSet:
+    w = rng.uniform(0.5, 1.5, points.points.shape[0])
+    return PointSet(points.points, labels=points.labels, weights=w / w.sum())
+
+
+@pytest.mark.parametrize("settings", [
+    # The sweep benchmark's inner settings and outer cap, which h=0.2 hits.
+    dict(outer_iters=3, inner_max_iter=300, inner_tol=1e-7),
+    {},
+])
+def test_reverse_fit_is_the_forward_plan_transposed(monkeypatch, settings):
+    # Without a class penalty the sweep reads each reverse fit off the
+    # forward one. A solved reverse fit takes the same outer steps and
+    # reaches the same plan to the inner tolerance, and gives the same
+    # sweep scores. n != m and non-uniform weights expose a plan, a pair
+    # of marginals or a model left on the forward side.
+    import infoot.pipelines as pipelines
+
+    fits = []
+    project = pipelines.project_source
+
+    def recorded(fit, request):
+        fits.append(fit)
+        return project(fit, request)
+
+    monkeypatch.setattr(pipelines, "project_source", recorded)
+    sample = gen_clusters(GeneratorConfig(sizes=(9, 7), target_sizes=(5, 10),
+                                          seed=3, rotation=1.2, spread=0.5))
+    rng = np.random.default_rng(7)
+    source = _weighted(sample.source, rng)
+    target = _weighted(sample.target, rng)
+    cfg = SolverConfig(lam=100.0, **settings)
+    grid = [0.2, 0.5, 0.8]
+    got = circular_validation(source, target, cfg, grid)
+    monkeypatch.setattr(pipelines, "project_source", project)
+    assert got == _sweep_by_fits(source, target, cfg, grid)
+    assert len(fits) == 2 * len(grid)
+    for h, forward, reverse in zip(grid, fits[::2], fits[1::2]):
+        assert reverse.target is source
+        assert np.array_equal(reverse.source.points, target.points)
+        want = pipelines.fit_alignment(reverse.source, source,
+                                       replace(cfg, bandwidth=h)).result
+        plan, want_plan = reverse.result.coupling, want.coupling
+        assert plan.shape == (15, 16)
+        assert np.abs(plan.values - want_plan.values).max() <= 1e-6
+        assert np.array_equal(plan.row_marginal, want_plan.row_marginal)
+        assert np.array_equal(plan.col_marginal, want_plan.col_marginal)
+        assert np.array_equal(reverse.model.gram_x, want.model.gram_x)
+        assert np.array_equal(reverse.model.gram_y, want.model.gram_y)
+        assert reverse.result.iterations == want.iterations
+        assert reverse.result.converged == want.converged
+        if settings and h == 0.2:
+            assert want.iterations == cfg.outer_iters
+            assert not want.converged
 
 
 @pytest.mark.parametrize("class_penalty", [None, 2.0])
@@ -470,7 +532,7 @@ def test_sweep_builds_each_distance_once(monkeypatch, class_penalty):
     import infoot.kernels
     import infoot.pipelines as pipelines
 
-    calls, scales = [], []
+    calls, scales, euclidean = [], [], []
     distances = pipelines.pairwise_distances
     estimate = infoot.kernels.estimate_scale
 
@@ -482,8 +544,14 @@ def test_sweep_builds_each_distance_once(monkeypatch, class_penalty):
         scales.append(d)
         return estimate(d)
 
+    def counted_euclidean(a, b):
+        euclidean.append((a.shape[0], b.shape[0]))
+        return _euclidean(a, b)
+
     monkeypatch.setattr(pipelines, "pairwise_distances", counted)
     monkeypatch.setattr(infoot.kernels, "estimate_scale", counted_scale)
+    # Every distance matrix, here or in infoot.datasets, comes from here.
+    monkeypatch.setattr(infoot.kernels, "_euclidean", counted_euclidean)
     sample = gen_clusters(GeneratorConfig(sizes=(6, 6), seed=8,
                                           rotation=0.2))
     cfg = SolverConfig(lam=100.0, bandwidth=0.5, **FAST)
@@ -495,12 +563,14 @@ def test_sweep_builds_each_distance_once(monkeypatch, class_penalty):
         # fit reuses them with the sides swapped.
         assert sorted(calls) == ["cross", "intra-source", "intra-target"]
         assert len(scales) == 2
+        assert len(euclidean) == 3
     else:
         # The plain source matrix serves only the reverse fit; each
         # h's pseudo-labels give the reverse fit its own class-conditional
-        # source matrix, built outside this module.
+        # source matrix, built on the target distances already held.
         assert sorted(calls) == ["cross", "intra-target", "intra-target"]
         assert len(scales) == 3 + len(grid)
+        assert len(euclidean) == 4
 
 
 def test_euclidean_is_symmetric_bitwise():

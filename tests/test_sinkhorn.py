@@ -18,7 +18,8 @@ from scipy.special import xlogy
 import infoot
 from infoot import (CouplingMatrix, SinkhornReport, check_marginal, entropy,
                     exact_assignment, sinkhorn, uniform_weights)
-from infoot.sinkhorn import NEWTON_WARMUP, sinkhorn_log_kernel
+from infoot.sinkhorn import (MARGINAL_TOL, NEWTON_WARMUP,
+                             sinkhorn_log_kernel)
 
 C3 = np.array([[0.0, 1.0, 2.0],
                [1.5, 0.2, 0.9],
@@ -154,6 +155,44 @@ def test_sinkhorn_non_convergence_is_flagged_not_raised():
     assert not report.converged
     assert not coupling.strict
     assert abs(coupling.values.sum() - 1.0) < 1e-10
+
+
+def test_converged_solve_off_the_marginal_tolerance_is_not_strict():
+    # A loose caller tolerance converges in the caller's sense while the
+    # plan still misses MARGINAL_TOL; the plan must say so, not raise.
+    coupling, report = sinkhorn(C3, P3, Q3, eps=0.1, tol=1e-3)
+    assert report.converged
+    assert max(CouplingMatrix.marginal_violation(
+        coupling.values, P3, Q3)) > MARGINAL_TOL
+    assert not coupling.strict
+    tight, report = sinkhorn(C3, P3, Q3, eps=0.1)
+    assert report.converged and tight.strict
+
+
+def test_sinkhorn_checks_its_plan_once(monkeypatch):
+    sinkhorn_module = importlib.import_module("infoot.sinkhorn")
+    checked, deviations = [], []
+    check = sinkhorn_module.check_marginal
+    violation = CouplingMatrix.marginal_violation
+
+    def counted_check(w, name="marginal"):
+        checked.append(name)
+        return check(w, name)
+
+    def counted_violation(vals, p, q):
+        deviations.append(vals.shape)
+        return violation(vals, p, q)
+
+    monkeypatch.setattr(sinkhorn_module, "check_marginal", counted_check)
+    monkeypatch.setattr(CouplingMatrix, "marginal_violation",
+                        staticmethod(counted_violation))
+    coupling, _ = sinkhorn(C3, P3, Q3, eps=0.1)
+    assert coupling.strict
+    assert checked == ["row marginal", "col marginal"]
+    assert deviations == [(3, 3)]
+    # The public constructor still checks everything itself.
+    CouplingMatrix(coupling.values, P3, Q3)
+    assert len(checked) == 4 and len(deviations) == 2
 
 
 def test_sinkhorn_input_validation():

@@ -265,6 +265,34 @@ def test_fused_solver_diagnostics_and_result_dict():
     assert len(payload["objective_trace"]) == res.iterations
 
 
+def test_fit_after_an_unconverged_inner_solve_is_not_strict(monkeypatch):
+    # The last solve's plan meets its marginals, but an earlier solve
+    # stopped at its cap, so the fit's plan must not claim strictness.
+    import infoot.solver
+
+    solve = infoot.solver.sinkhorn
+    last = []
+
+    def capped_first(cost, p, q, eps, max_iter, tol, init):
+        coupling, report = solve(cost, p, q, eps, max_iter=1 if init is None
+                                 else max_iter, tol=tol, init=init)
+        last[:] = [coupling]
+        return coupling, report
+
+    monkeypatch.setattr(infoot.solver, "sinkhorn", capped_first)
+    rng = np.random.default_rng(47)
+    xs = PointSet(rng.normal(size=(5, 2)))
+    ys = PointSet(rng.normal(size=(4, 2)))
+    res = solve_fused_infoot(
+        pairwise_distances(xs, ys).values, pairwise_distances(xs, xs),
+        pairwise_distances(ys, ys, kind="intra-target"),
+        uniform_weights(5), uniform_weights(4),
+        SolverConfig(lam=10.0, eps=1.0, bandwidth=0.4))
+    assert not res.diagnostics["inner_converged"]
+    assert last[0].strict and not res.coupling.strict
+    assert np.array_equal(res.coupling.values, last[0].values)
+
+
 def test_headline_fit_inner_effort():
     # The two_cluster_rotated spec at the bandwidth circular validation
     # picks. Each inner solve starts from the previous step's potential and
