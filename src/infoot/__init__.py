@@ -9,8 +9,8 @@ bandwidth validation loop.
 
 NumPy is the only runtime dependency: importing the package loads no
 SciPy module, which keeps short runs such as one CLI call quick to start.
-The Sinkhorn scaling loop, and the Newton polish that finishes a solve
-where the loop stalls, live in :mod:`infoot.sinkhorn`. ``infoot.BACKEND``
+The Sinkhorn scaling loop, whose Newton steps finish a solve where
+sweeps stall, lives in :mod:`infoot.sinkhorn`. ``infoot.BACKEND``
 is the constant ``"python"``, which benchmark results record.
 """
 
@@ -32,7 +32,7 @@ from .projection import (ProjectionRequest, ScoreMatrix, barycentric_project,
                          conditional_project, importance_scores,
                          importance_weights)
 from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
-                       entropy, exact_assignment, sinkhorn)
+                       entropy, sinkhorn)
 from .solver import (AlignmentResult, SolverConfig, limit_check, mi_gradient,
                      mutual_information, solve_fused_infoot, solve_infoot)
 
@@ -65,7 +65,6 @@ __all__ = [
     # transport
     "sinkhorn",
     "entropy",
-    "exact_assignment",
     "check_marginal",
     "mutual_information",
     "mi_gradient",

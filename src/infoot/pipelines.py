@@ -564,6 +564,8 @@ def circular_validation(source: PointSet, target: PointSet,
     """
     if source.labels is None:
         raise ValueError("circular validation needs labeled source points")
+    if class_penalty is not None and not class_penalty >= 0:
+        raise ValueError("class_penalty must be nonnegative")
     grid = sorted(float(h) for h in grid)
     if not grid or not all(h > 0 for h in grid):
         raise ValueError("bandwidth grid must be nonempty with positive "
@@ -573,10 +575,13 @@ def circular_validation(source: PointSet, target: PointSet,
     # aligns the same points the other way round: its target matrix is the
     # plain source one and its cross cost the transpose, which is what
     # fit_alignment would build, bit for bit. Its class-conditional source
-    # matrix follows the pseudo-labels of each h, on the target distances.
-    dx, dy, cross = _distances(source, target, class_penalty)
+    # matrix follows the pseudo-labels of each h, on the target distances;
+    # the forward fit's is the plain source matrix penalized by the source
+    # labels.
+    dx, dy, cross = _distances(source, target, None)
     if class_penalty is not None:
-        back_dy = pairwise_distances(source, source, kind="intra-target")
+        back_dy = DistanceMatrix(dx.values, kind="intra-target")
+        dx = _class_penalized(dx.values, source.labels, class_penalty)
         back_cross = np.ascontiguousarray(cross.T)
     scores = []
     for h in grid:

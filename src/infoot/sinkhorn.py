@@ -1,33 +1,34 @@
-"""Entropic-regularized optimal transport and a small exact-assignment solver.
+"""Entropic-regularized optimal transport in one scaling loop.
 
 :func:`sinkhorn` minimizes ``<plan, C> - eps * H(plan)`` over the
-transportation polytope. It starts with alternating diagonal scaling
-(Sinkhorn sweeps), from zero log-scalings or, given ``init``, from a target
-potential such as the previous solve's in a sequence of nearby costs
-(Thornton & Cuturi, arXiv:2206.07630). Sweeps converge linearly at a rate
-that degrades as the kernel ``exp(-C / eps)`` grows ill-conditioned, and on
-such problems they stall for thousands of iterations. A solve that has not
-converged after ``NEWTON_WARMUP`` sweeps is therefore finished by a
-Sinkhorn-Newton polish (Brauer, Clason, Lorenz & Wirth, arXiv:1710.06635):
-damped Newton steps on the dual in the log-scalings, which converge
-quadratically near the solution. The warm-up is short: a warm-started
-solve mostly converges within a few sweeps, and for one that does not,
-Newton steps are the faster way to finish.
+transportation polytope with one loop, :func:`sinkhorn_log_kernel`, on
+one scaling state (Schmitzer, arXiv:1610.06519; Peyre & Cuturi,
+arXiv:1803.00567, section 4.4). The plan is ``diag(u) K diag(v)`` on a
+stabilized kernel ``K = exp(S + a + b)``, ``S = -C / eps``, built with
+one ``exp`` pass from log potentials ``a, b``. Each iteration updates the
+row scaling ``u`` and then takes the exact column scaling
+``v = q / (K^T u)``: mat-vecs with ``K`` instead of log-sum-exps over
+``S``.
 
-Sweeps and Newton steps both run in the scaling domain on a stabilized
-kernel (Schmitzer, arXiv:1610.06519; Peyre & Cuturi, arXiv:1803.00567,
-section 4.4). The plan is ``diag(u) K diag(v)`` with
-``K = exp(S + a + b)``, ``S = -C / eps``, built with one ``exp`` pass
-from log potentials ``a, b``; an update then costs a mat-vec with ``K``
-instead of a log-sum-exp over ``S``. Small ``eps`` cannot underflow it:
-when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K`` underflows,
-the scalings are absorbed into ``(a, b)`` and ``K`` is rebuilt. What
-leaves the module is log potentials, and the returned plan is
-``exp(S + a + b)`` of them, so its tiny entries are what a log-domain
-solver gives; the kernel keeps its name, ``sinkhorn_log_kernel``, for
-that contract. :func:`exact_assignment` is an O(n^3) Hungarian solver
-for the uniform equal-size special case, kept mainly as an independent
-oracle for tests.
+The first ``NEWTON_WARMUP`` row updates are Sinkhorn sweeps,
+``u = p / (K v)``, from zero log-scalings or, given ``init``, from a
+target potential such as the previous solve's in a sequence of nearby
+costs (Thornton & Cuturi, arXiv:2206.07630). A warm-started solve mostly
+converges within them. Sweeps converge linearly at a rate that degrades
+as the kernel grows ill-conditioned, and on such problems they stall for
+thousands of iterations, so every later row update is a damped
+Sinkhorn-Newton step on the dual (Brauer, Clason, Lorenz & Wirth,
+arXiv:1710.06635), ``u <- u * exp(t * da)``, which converges
+quadratically near the solution. Should the line search find no step
+that increases the dual (as happens once rounding dominates), sweeps take
+the rest of the budget. Both kinds of iteration share the column scaling,
+the absorption and the stopping test. Small ``eps`` cannot underflow the
+kernel: when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K``
+underflows, the scalings are absorbed into ``(a, b)`` and ``K`` is
+rebuilt. What leaves the module is log potentials, and the returned plan
+is ``exp(S + a + b)`` of them, so its tiny entries are what a log-domain
+solver gives; the loop keeps its name, ``sinkhorn_log_kernel``, for that
+contract.
 """
 
 from __future__ import annotations
@@ -45,14 +46,12 @@ __all__ = [
     "SinkhornReport",
     "sinkhorn",
     "entropy",
-    "exact_assignment",
 ]
 
 MARGINAL_TOL = 1e-8
 MASS_TOL = 1e-10
-_ASSIGNMENT_MAX_N = 64
 # Sinkhorn sweeps a solve gets before Newton steps take over. Warm-started
-# and well-conditioned solves converge within it and never reach the polish.
+# and well-conditioned solves converge within them and take no Newton step.
 NEWTON_WARMUP = 5
 # Armijo sufficient-increase constant and how often a step may be halved.
 _ARMIJO = 1e-4
@@ -64,7 +63,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
-_LOG_SCALE_MAX = math.log(_SCALE_MAX)
 
 
 def check_marginal(w, name: str = "marginal") -> np.ndarray:
@@ -161,7 +159,7 @@ class SinkhornReport:
     potential_source: np.ndarray
     potential_target: np.ndarray
     wall_time: float = 0.0
-    # Newton steps of the polish, already counted in ``iterations``.
+    # Newton steps, already counted in ``iterations``.
     newton_steps: int = 0
 
     def __post_init__(self):
@@ -192,41 +190,64 @@ def _peaked_kernel(S, b):
 
 
 def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
-    """Run stabilized Sinkhorn sweeps on the log-kernel ``S``.
+    """Run stabilized Sinkhorn iterations on the log-kernel ``S``.
 
     The plan is ``diag(u) K diag(v)`` with ``K = exp(S + a + b)`` built
-    once from log potentials ``a, b``, and the sweeps update only the
-    scalings: ``u = p / (K v)``, ``v = q / (K^T u)``. Should ``u`` or
-    ``v`` leave ``[_SCALE_MIN, _SCALE_MAX]``, or a row or column sum of
-    ``K`` underflow, the scalings are folded into ``(a, b)`` and that
-    update is redone in the log domain, rebuilding ``K`` with one ``exp``
-    pass (absorption). Starts from the target log-scaling ``b`` (zero when
-    omitted) and stops on the L1 violation of both marginals. Returns
-    ``(a, b, iterations, violation, converged)`` where ``a`` and ``b`` are
-    the log-domain scalings of the last iterate.
+    once from log potentials ``a, b``, and an iteration updates only the
+    scalings: a row update of ``u``, then the column scaling
+    ``v = q / (K^T u)``. The first ``NEWTON_WARMUP`` row updates are
+    sweeps, ``u = p / (K v)``; each later one is a damped Newton step,
+    ``u <- u * exp(t * da)`` (:func:`_newton_row_step`), until a line
+    search finds no step and sweeps take the rest of the budget. Should
+    ``u`` or ``v`` leave ``[_SCALE_MIN, _SCALE_MAX]``, or a row or column
+    sum of ``K`` underflow, the scalings are folded into ``(a, b)`` and
+    that update is redone in the log domain, rebuilding ``K`` with one
+    ``exp`` pass (absorption). Starts from the target log-scaling ``b``
+    (zero when omitted) and stops on the L1 violation of both marginals.
+    Returns ``(a, b, iterations, violation, converged, newton_steps)``
+    where ``a`` and ``b`` are the log-domain scalings of the last iterate
+    and the iterations include the Newton steps.
     """
     S = np.asarray(S, dtype=float)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     b = np.zeros(S.shape[1]) if b is None else np.asarray(b, dtype=float)
     a, K = _peaked_kernel(S, b)
-    v = np.ones(S.shape[1])
+    u, v = np.ones(S.shape[0]), np.ones(S.shape[1])
     # The row sums that measure the row violation of one iterate are the
-    # ones the next row update needs, so each iteration makes two mat-vecs.
+    # ones the next sweep needs, so a sweep makes two mat-vecs.
     Kv = K.sum(axis=1)
+    log_nm = math.log(S.size)
+    newton, newton_steps = True, 0
     viol = np.inf
     # An underflowed sum divides to inf, which the range checks catch.
     with np.errstate(divide="ignore", over="ignore"):
         for it in range(1, max_iter + 1):
-            u = p / Kv
-            if not _in_range(u):
-                b = b + np.log(v)
-                a, K = _peaked_kernel(S, b)
-                u = p / K.sum(axis=1)
-            Ktu = u @ K
-            v = q / Ktu
-            if not _in_range(v):
-                a = a + np.log(u)
+            step = None
+            if newton and it > NEWTON_WARMUP:
+                step = _newton_row_step(K, u, v, p, q, log_nm)
+                newton = step is not None
+            # ``log_u`` is set when the row scaling is to be absorbed.
+            log_u = None
+            if step is None:
+                u = p / Kv
+                if not _in_range(u):
+                    b = b + np.log(v)
+                    a, K = _peaked_kernel(S, b)
+                    u = p / K.sum(axis=1)
+            else:
+                newton_steps += 1
+                log_u = np.log(u) + step
+                u = np.exp(log_u)
+                if _in_range(u):
+                    log_u = None
+            if log_u is None:
+                Ktu = u @ K
+                v = q / Ktu
+                if not _in_range(v):
+                    log_u = np.log(u)
+            if log_u is not None:
+                a = a + log_u
                 b, K = _peaked_kernel(S.T, a)
                 K = K.T
                 u = np.ones_like(u)
@@ -237,8 +258,10 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
             row_viol = np.abs(u * Kv - p).sum()
             viol = row_viol + col_viol
             if viol <= tol:
-                return a + np.log(u), b + np.log(v), it, float(viol), True
-    return a + np.log(u), b + np.log(v), max_iter, float(viol), False
+                return (a + np.log(u), b + np.log(v), it, float(viol), True,
+                        newton_steps)
+    return (a + np.log(u), b + np.log(v), max_iter, float(viol), False,
+            newton_steps)
 
 
 def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
@@ -250,12 +273,13 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     flag rather than an exception. ``init`` is an optional starting target
     potential in cost units, as in ``report.potential_target``; passing the
     potential of a solve on a nearby cost (a warm start) saves most of the
-    iterations, and ``None`` starts from zero. The first ``NEWTON_WARMUP``
-    iterations are stabilized Sinkhorn sweeps; a solve still unconverged
-    after them continues with damped Sinkhorn-Newton steps, each followed by
-    an exact scaling of the smaller side so the plan keeps unit mass. Newton
-    steps count toward ``max_iter`` and ``report.iterations`` like sweeps
-    do; ``report.newton_steps`` says how many there were. Should
+    iterations, and ``None`` starts from zero. The solve is one call of
+    :func:`sinkhorn_log_kernel`: the first ``NEWTON_WARMUP`` iterations are
+    stabilized Sinkhorn sweeps, and a solve still unconverged after them
+    continues with damped Sinkhorn-Newton steps on the row scaling, each
+    followed by the exact column scaling so the plan keeps unit mass.
+    Newton steps count toward ``max_iter`` and ``report.iterations`` like
+    sweeps do; ``report.newton_steps`` says how many there were. Should
     backtracking find no Newton step that increases the dual (as happens
     once rounding dominates), the rest of the budget goes back to sweeps.
     """
@@ -288,19 +312,8 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         init = init / eps
 
     S = np.ascontiguousarray(-C / eps)
-    a, b, iters, viol, converged = sinkhorn_log_kernel(
-        S, p, q, min(max_iter, NEWTON_WARMUP), tol, init)
-    newton_steps = 0
-    if not converged and iters < max_iter:
-        swept = iters
-        a, b, iters, viol, converged = _newton_polish(
-            S, p, q, a, b, iters, max_iter, tol)
-        newton_steps = iters - swept
-    if not converged and iters < max_iter:
-        # Sweeps resume from the polish's target scaling.
-        a, b, more, viol, converged = sinkhorn_log_kernel(
-            S, p, q, max_iter - iters, tol, b)
-        iters += more
+    a, b, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
+        S, p, q, max_iter, tol, init)
     plan = np.exp(a[:, None] + b[None, :] + S)
     coupling = CouplingMatrix._of_solve(plan, p, q, converged)
     report = SinkhornReport(
@@ -315,80 +328,41 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     return coupling, report
 
 
-def _newton_polish(S, p, q, a, b, iters, max_iter, tol):
-    """Damped Newton ascent on the dual of the log-domain problem.
+def _newton_row_step(K, u, v, p, q, log_nm):
+    """Log of the factor by which a damped Newton step scales the rows of
+    the plan ``diag(u) K diag(v)``, or ``None`` when backtracking finds no
+    step that increases the dual.
 
     The dual ``<a, p> + <b, q> - sum(exp(S + a + b))`` is concave in the
     log-scalings, with gradient the marginal residuals ``(p - r, q - c)``
     and Hessian ``[[diag(r), P], [P^T, diag(c)]]`` of the plan ``P`` and
-    its row and column sums ``r, c``. The Newton system is solved through
-    its Schur complement on the smaller side, so memory stays O(nm).
-    Each accepted step is followed by the exact scaling of the smaller
-    side, which only increases the dual further and restores unit mass.
-    As in the sweeps, the plan is ``diag(u) K diag(v)`` on a kernel
-    ``K = exp(S + a + b)``: a step multiplies ``u`` by ``exp(t * da)``,
-    the column scaling ``v`` costs one mat-vec, and the scalings are
-    absorbed into ``(a, b)`` when they leave their safe range.
-    Returns the kernel's ``(a, b, iterations, violation, converged)``,
-    counting one iteration per Newton step, and returns early,
-    unconverged, when backtracking finds no step that increases the dual.
+    its row and column sums ``r, c``. Only the row part of the step is
+    taken: the exact column scaling that follows it can only increase the
+    dual further, and it restores unit mass. The plan and the step's
+    temporaries are freed on return.
     """
-    if S.shape[1] > S.shape[0]:
-        b, a, iters, viol, converged = _newton_polish(
-            S.T, q, p, b, a, iters, max_iter, tol)
-        return a, b, iters, viol, converged
-    n, m = S.shape
-    log_nm = math.log(n * m)
-    # K and the plan take the memory layout of S, which is transposed when
-    # the target side is the larger; the plan is rebuilt in place.
-    K = np.empty_like(S)
-    np.add(S, a[:, None], out=K)
-    K += b[None, :]
-    np.exp(K, out=K)
-    plan = K.copy()
-    # The row scaling is kept as its log, so a step cannot overflow it.
-    log_u = np.zeros(n)
-    v = np.ones(m)
+    plan = K * u[:, None]
+    plan *= v[None, :]
     r, c = plan.sum(axis=1), plan.sum(axis=0)
-    viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-    with np.errstate(divide="ignore", over="ignore"):
-        while iters < max_iter:
-            gp, gq = p - r, q - c
-            da, db = _newton_direction(plan, r, c, gp, gq)
-            t = _armijo_step(plan, da, db, float(gp @ da + gq @ db), log_nm)
-            if t is None:
-                return a + log_u, b + np.log(v), iters, viol, False
-            log_u = log_u + t * da
-            iters += 1
-            absorb = not np.abs(log_u).max() <= _LOG_SCALE_MAX
-            if not absorb:
-                u = np.exp(log_u)
-                v = q / (u @ K)
-                absorb = not _in_range(v)
-            if absorb:
-                a = a + log_u
-                b, K = _peaked_kernel(S.T, a)
-                K = K.T
-                log_u = np.zeros(n)
-                u = np.ones(n)
-                v = q / K.sum(axis=0)
-            np.multiply(K, u[:, None], out=plan)
-            plan *= v[None, :]
-            r, c = plan.sum(axis=1), plan.sum(axis=0)
-            viol = float(np.abs(r - p).sum() + np.abs(c - q).sum())
-            if viol <= tol:
-                return a + log_u, b + np.log(v), iters, viol, True
-    return a + log_u, b + np.log(v), iters, viol, False
+    gp, gq = p - r, q - c
+    da, db = _newton_direction(plan, r, c, gp, gq)
+    t = _armijo_step(plan, da, db, float(gp @ da + gq @ db), log_nm)
+    return None if t is None else t * da
 
 
 def _newton_direction(plan, r, c, gp, gq):
     """Newton direction ``(da, db)`` of the dual at ``plan``, whose row and
     column sums are ``r`` and ``c`` and gradient ``(gp, gq)``.
 
-    The system is solved through its Schur complement on the columns; its
-    n x m and m x m temporaries are freed on return, before the caller's
-    line search allocates its own.
+    The system is solved through its Schur complement on the smaller side,
+    so memory stays O(nm): on the columns, or on the rows of a plan with
+    more columns than rows, which is solved transposed. Its temporaries
+    are freed on return, before the caller's line search allocates its
+    own.
     """
+    if plan.shape[1] > plan.shape[0]:
+        db, da = _newton_direction(plan.T, c, r, gq, gp)
+        return da, db
     m = plan.shape[1]
     # Eliminating the row block leaves a weighted graph Laplacian on the
     # columns, singular along the gauge (a + t, b - t). The rank-one term
@@ -438,66 +412,3 @@ def entropy(plan) -> float:
     g = _plan_values(plan)
     return float(-(g * np.log(np.where(g == 0, 1.0, g))).sum())
 
-
-def exact_assignment(C) -> tuple[np.ndarray, float]:
-    """Optimal assignment for a square cost matrix with uniform weights.
-
-    Returns ``(perm, value)`` where row ``i`` is assigned to column
-    ``perm[i]`` and ``value`` is the mean of the selected entries, i.e. the
-    transport cost under uniform ``1/n`` weights. Dual-potential Hungarian
-    search, O(n^3); guarded to ``n <= 64`` since it exists as a test oracle.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"assignment needs a square matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix contains non-finite entries")
-    n = C.shape[0]
-    if n > _ASSIGNMENT_MAX_N:
-        raise ValueError(f"assignment solver is capped at n <= {_ASSIGNMENT_MAX_N}")
-
-    # Shortest-augmenting-path Hungarian with potentials, 1-indexed columns;
-    # match[j] is the row currently assigned to column j (0 = free).
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = C[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-
-    perm = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        perm[match[j] - 1] = j - 1
-    value = float(C[np.arange(n), perm].mean())
-    return perm, value

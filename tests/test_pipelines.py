@@ -558,19 +558,18 @@ def test_sweep_builds_each_distance_once(monkeypatch, class_penalty):
     grid = [0.3, 0.5, 0.7]
     circular_validation(sample.source, sample.target, cfg, grid,
                         class_penalty=class_penalty)
+    # Source, target and cross: none depends on h, and the reverse fit
+    # reuses them with the sides swapped.
+    assert sorted(calls) == ["cross", "intra-source", "intra-target"]
+    assert len(euclidean) == 3
     if class_penalty is None:
-        # Source, target and cross: none depends on h, and the reverse
-        # fit reuses them with the sides swapped.
-        assert sorted(calls) == ["cross", "intra-source", "intra-target"]
         assert len(scales) == 2
-        assert len(euclidean) == 3
     else:
-        # The plain source matrix serves only the reverse fit; each
-        # h's pseudo-labels give the reverse fit its own class-conditional
+        # The plain source matrix is the reverse fit's target matrix, and
+        # the forward fit's class-conditional one is built on it; each h's
+        # pseudo-labels give the reverse fit its own class-conditional
         # source matrix, built on the target distances already held.
-        assert sorted(calls) == ["cross", "intra-target", "intra-target"]
         assert len(scales) == 3 + len(grid)
-        assert len(euclidean) == 4
 
 
 def test_euclidean_is_symmetric_bitwise():

@@ -1,23 +1,20 @@
-"""Entropic OT solver and the exact-assignment oracle.
+"""Entropic OT solver: the Sinkhorn loop, its Newton steps and absorption.
 
 The 3x3 instance's expected values were frozen from an independent
-probability-domain scaling implementation run to machine precision; the
-assignment values were frozen from factorial enumeration.
+probability-domain scaling implementation run to machine precision.
 """
 
 import importlib
-import itertools
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
 import infoot
 from infoot import (CouplingMatrix, SinkhornReport, check_marginal, entropy,
-                    exact_assignment, sinkhorn, uniform_weights)
+                    sinkhorn, uniform_weights)
 from infoot.sinkhorn import (MARGINAL_TOL, NEWTON_WARMUP,
                              sinkhorn_log_kernel)
 
@@ -31,18 +28,6 @@ Q3 = np.array([0.5, 0.2, 0.3])
 PLAN_00 = 0.19999999998014695
 PLAN_12 = 7.010025325111589e-07
 COST_3 = 0.625250114564739
-
-# Frozen: factorial enumeration of the 4x4 instance below.
-A4 = np.array([[4.0, 1.0, 3.0, 2.0],
-               [2.0, 0.5, 5.0, 3.0],
-               [3.0, 2.0, 2.5, 4.0],
-               [4.0, 3.0, 1.0, 2.5]])
-PERM_4 = (3, 1, 0, 2)
-VALUE_4 = 1.625
-
-# Frozen: factorial enumeration of default_rng(424242).uniform(0,10,(7,7)).round(3).
-PERM_7 = (6, 1, 2, 5, 3, 0, 4)
-VALUE_7 = 1.1265714285714286
 
 
 def test_check_marginal_validation():
@@ -81,19 +66,24 @@ def test_sinkhorn_marginal_feasibility():
         assert row_dev < 1e-8 and col_dev < 1e-8
 
 
-def test_newton_polish_matches_sweeps_run_to_convergence():
-    # Sweeps alone need 371 iterations here; the solve switches to Newton
-    # steps after NEWTON_WARMUP of them. With more columns than rows it
-    # takes the transposed Schur complement. The reference is the NumPy
-    # sweep kernel run to the same tolerance.
+def _newton_instance():
+    # A cold solve of this instance takes Newton steps.
     rng = np.random.default_rng(7)
     C = rng.uniform(0, 1, (6, 11))
     p = rng.uniform(0.5, 1.5, 6)
     p /= p.sum()
     q = rng.uniform(0.5, 1.5, 11)
     q /= q.sum()
-    eps = 0.02
-    a, b, sweeps, _, swept = sinkhorn_log_kernel(
+    return C, p, q, 0.02
+
+
+def test_newton_polish_matches_sweeps_run_to_convergence():
+    # Sweeps alone need 371 iterations here; the loop switches to Newton
+    # steps after NEWTON_WARMUP of them. With more columns than rows it
+    # takes the Schur complement of the transposed plan. The reference is
+    # log-domain sweeps run to the same tolerance.
+    C, p, q, eps = _newton_instance()
+    a, b, sweeps, _, swept = _log_domain_sweeps(
         np.ascontiguousarray(-C / eps), p, q, 20000, 1e-12)
     assert swept and sweeps > NEWTON_WARMUP
     coupling, report = sinkhorn(C, p, q, eps=eps, max_iter=20000, tol=1e-12)
@@ -113,8 +103,7 @@ def test_kernel_accepts_readonly_views():
     S.flags.writeable = False
     p = uniform_weights(2)
     p.flags.writeable = False
-    a, b, iters, viol, conv = sinkhorn_log_kernel(S, p, p, 10, 1e-9)
-    assert conv
+    assert sinkhorn_log_kernel(S, p, p, 10, 1e-9)[4]
 
 
 def test_backend_reported():
@@ -269,20 +258,8 @@ def test_report_rejects_nan_violation():
         SinkhornReport(1, float("nan"), True, np.zeros(1), np.zeros(1))
 
 
-def _polished_instance():
-    # The instance of the Newton polish test above: a cold solve reaches
-    # the polish.
-    rng = np.random.default_rng(7)
-    C = rng.uniform(0, 1, (6, 11))
-    p = rng.uniform(0.5, 1.5, 6)
-    p /= p.sum()
-    q = rng.uniform(0.5, 1.5, 11)
-    q /= q.sum()
-    return C, p, q, 0.02
-
-
 def test_warm_start_from_own_potential_is_immediate():
-    C, p, q, eps = _polished_instance()
+    C, p, q, eps = _newton_instance()
     cold, cold_rep = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
     assert cold_rep.converged and cold_rep.newton_steps > 0
     assert cold_rep.iterations == NEWTON_WARMUP + cold_rep.newton_steps
@@ -293,7 +270,7 @@ def test_warm_start_from_own_potential_is_immediate():
 
 
 def test_warm_start_on_perturbed_cost_saves_iterations():
-    C, p, q, eps = _polished_instance()
+    C, p, q, eps = _newton_instance()
     _, rep = sinkhorn(C, p, q, eps, max_iter=20000)
     noise = np.random.default_rng(8).uniform(0, 1, C.shape)
     moved = C + 0.05 * noise
@@ -306,33 +283,51 @@ def test_warm_start_on_perturbed_cost_saves_iterations():
 
 
 def test_sweeps_resume_when_the_polish_finds_no_ascent_step(monkeypatch):
-    # A polish whose line search fails at once hands its whole budget back
-    # to sweeps, which then run as if the polish had never started.
+    # A line search that finds no step switches the loop to sweeps for the
+    # rest of the budget. Failing at once, the loop runs the sweeps alone;
+    # failing after two Newton steps, the sweeps go on from where those
+    # left off, and the line search is not tried again.
     sinkhorn_module = importlib.import_module("infoot.sinkhorn")
-    C, p, q, eps = _polished_instance()
-    normal, _ = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
-    _, _, sweeps, _, _ = sinkhorn_log_kernel(
-        np.ascontiguousarray(-C / eps), p, q, 20000, 1e-12)
-    monkeypatch.setattr(sinkhorn_module, "_armijo_step", lambda *args: None)
-    resumed, rep = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
-    assert rep.converged and rep.violation <= 1e-12
-    assert rep.newton_steps == 0 and rep.iterations > NEWTON_WARMUP
-    assert rep.iterations == sweeps
-    np.testing.assert_allclose(resumed.values, normal.values, rtol=0,
-                               atol=1e-9)
-    _, capped = sinkhorn(C, p, q, eps, max_iter=100, tol=1e-12)
-    assert not capped.converged and capped.iterations == 100
-    assert capped.newton_steps == 0
+    C, p, q, eps = _newton_instance()
+    S = np.ascontiguousarray(-C / eps)
+    sweeps = _log_domain_sweeps(S, p, q, 20000, 1e-12)[2]
+    armijo = sinkhorn_module._armijo_step
+    for found in (0, 2):
+        def solve(max_iter, found=found):
+            searches = []
+
+            def failing(*args):
+                searches.append(args)
+                return armijo(*args) if len(searches) <= found else None
+
+            monkeypatch.setattr(sinkhorn_module, "_armijo_step", failing)
+            coupling, rep = sinkhorn(C, p, q, eps, max_iter=max_iter,
+                                     tol=1e-12)
+            assert rep.newton_steps == found and len(searches) == found + 1
+            return coupling, rep
+
+        coupling, rep = solve(20000)
+        assert rep.converged and rep.violation <= 1e-12
+        if found:
+            assert rep.iterations > NEWTON_WARMUP + found
+        else:
+            assert rep.iterations == sweeps
+        _assert_same_solution(coupling, rep, S, p, q, eps)
+        _, capped = solve(100)
+        assert not capped.converged and capped.iterations == 100
 
 
 @pytest.mark.parametrize("max_iter", [1, 3, 50])
-def test_kernel_start_equals_shifted_log_kernel(max_iter):
-    C, p, q, eps = _polished_instance()
+def test_kernel_start_equals_shifted_log_kernel(max_iter, sweeps_only):
+    # Sweeps from the target log-scaling b0 are log-domain sweeps on the
+    # log-kernel shifted by b0.
+    C, p, q, eps = _newton_instance()
     S = -C / eps
     b0 = np.random.default_rng(9).normal(size=q.size)
-    a1, b1, it1, viol1, conv1 = sinkhorn_log_kernel(S, p, q, max_iter, 1e-12, b0)
-    a2, b2, it2, viol2, conv2 = sinkhorn_log_kernel(S + b0[None, :], p, q,
-                                                    max_iter, 1e-12)
+    a1, b1, it1, viol1, conv1, _ = sinkhorn_log_kernel(S, p, q, max_iter,
+                                                       1e-12, b0)
+    a2, b2, it2, viol2, conv2 = _log_domain_sweeps(S + b0[None, :], p, q,
+                                                   max_iter, 1e-12)
     assert (it1, conv1) == (it2, conv2)
     np.testing.assert_allclose(a1, a2, rtol=0, atol=1e-12)
     np.testing.assert_allclose(b1, b2 + b0, rtol=0, atol=1e-12)
@@ -365,38 +360,6 @@ def test_entropy_matches_xlogy_with_zero_entries():
         value = entropy(g)
     expected = -xlogy(g, g).sum()
     assert abs(value - expected) <= 1e-15 * abs(expected)
-
-
-def test_assignment_frozen_4x4():
-    perm, value = exact_assignment(A4)
-    assert tuple(perm) == PERM_4
-    assert value == VALUE_4
-
-
-def test_assignment_frozen_7x7():
-    A7 = np.random.default_rng(424242).uniform(0.0, 10.0, (7, 7)).round(3)
-    perm, value = exact_assignment(A7)
-    assert tuple(perm) == PERM_7
-    assert abs(value - VALUE_7) < 1e-12
-
-
-def test_assignment_matches_enumeration_and_scipy():
-    rng = np.random.default_rng(2024)
-    for _ in range(10):
-        A = rng.uniform(0, 1, (5, 5))
-        perm, value = exact_assignment(A)
-        brute = min(sum(A[i, s[i]] for i in range(5)) / 5.0
-                    for s in itertools.permutations(range(5)))
-        assert abs(value - brute) < 1e-12
-        rows, cols = linear_sum_assignment(A)
-        assert abs(value - A[rows, cols].mean()) < 1e-12
-
-
-def test_assignment_guards():
-    with pytest.raises(ValueError):
-        exact_assignment(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        exact_assignment(np.zeros((65, 65)))
 
 
 def _log_domain_sweeps(S, p, q, max_iter, tol, b=None):
@@ -434,21 +397,35 @@ def _absorbing_instance(n, m):
 
 
 @pytest.fixture
-def kernel_builds(monkeypatch):
-    """Names of the functions that built a stabilized kernel, in call
-    order. The kernel builds one when it starts, the polish does not, so
-    every later build in the kernel and every build in the polish is an
-    absorption."""
+def sweeps_only(monkeypatch):
+    """The loop runs sweeps alone: its Newton steps never start."""
+    monkeypatch.setattr(importlib.import_module("infoot.sinkhorn"),
+                        "NEWTON_WARMUP", sys.maxsize)
+
+
+def _spy(monkeypatch):
+    """What the loop does, in order: ``"build"`` for each stabilized
+    kernel it builds (its first, then one per absorption), ``"newton"``
+    for each Newton step, and ``"newton out of range"`` for one that takes
+    the row scaling out of the safe range."""
     module = importlib.import_module("infoot.sinkhorn")
-    original = module._peaked_kernel
-    callers = []
+    build, row_step = module._peaked_kernel, module._newton_row_step
+    events = []
 
-    def spy(S, b):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(S, b)
+    def spy_build(S, b):
+        events.append("build")
+        return build(S, b)
 
-    monkeypatch.setattr(module, "_peaked_kernel", spy)
-    return callers
+    def spy_step(K, u, v, p, q, log_nm):
+        step = row_step(K, u, v, p, q, log_nm)
+        if step is not None:
+            out = np.abs(np.log(u) + step).max() > np.log(module._SCALE_MAX)
+            events.append("newton out of range" if out else "newton")
+        return step
+
+    monkeypatch.setattr(module, "_peaked_kernel", spy_build)
+    monkeypatch.setattr(module, "_newton_row_step", spy_step)
+    return events
 
 
 def _assert_same_solution(coupling, report, S, p, q, eps):
@@ -457,7 +434,7 @@ def _assert_same_solution(coupling, report, S, p, q, eps):
     a, b, _, _, done = _log_domain_sweeps(S, p, q, 100000, 1e-13)
     assert done
     reference = np.exp(a[:, None] + b[None, :] + S)
-    np.testing.assert_allclose(coupling.values, reference, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(coupling.values, reference, rtol=0, atol=1e-12)
     shift = report.potential_source / eps - a
     np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-8)
     np.testing.assert_allclose(report.potential_target / eps - b, -shift[0],
@@ -465,8 +442,7 @@ def _assert_same_solution(coupling, report, S, p, q, eps):
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
-def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape,
-                                                         kernel_builds):
+def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape, monkeypatch):
     # exp underflows below -745, so a kernel exp(-C / eps) over this span
     # loses whole columns unless the scalings are folded back into the
     # log potentials.
@@ -476,7 +452,10 @@ def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape,
     assert np.ptp(S) > 1500
     # The sweeps follow the log-domain iterates themselves, not just the
     # solution they converge to.
-    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, 40, 1e-300)
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("infoot.sinkhorn"),
+                      "NEWTON_WARMUP", sys.maxsize)
+        a, b, it, viol, _, _ = sinkhorn_log_kernel(S, p, q, 40, 1e-300)
     ra, rb, rit, rviol, _ = _log_domain_sweeps(S, p, q, 40, 1e-300)
     assert it == rit == 40 and abs(viol - rviol) <= 1e-12
     np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
@@ -484,17 +463,19 @@ def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape,
     np.testing.assert_allclose(np.exp(a[:, None] + b[None, :] + S),
                                np.exp(ra[:, None] + rb[None, :] + S),
                                rtol=0, atol=1e-12)
-    kernel_builds.clear()
+    # The Newton steps move the row scalings past the safe range, and the
+    # step that does so is absorbed before the next one.
+    events = _spy(monkeypatch)
     coupling, report = sinkhorn(C, p, q, eps, max_iter=20000, tol=1e-12)
     assert report.converged and report.newton_steps > 0
-    assert "_newton_polish" in kernel_builds
+    out = [i for i, e in enumerate(events) if e == "newton out of range"]
+    assert out and all(events[i + 1] == "build" for i in out)
     _assert_same_solution(coupling, report, S, p, q, eps)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
 @pytest.mark.parametrize("sweeps", [1, NEWTON_WARMUP])
-def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps,
-                                                kernel_builds):
+def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps, monkeypatch):
     # A target potential from some other problem: one column sits so far
     # below the others that its sum on the first kernel underflows to 0.
     C, p, q = _absorbing_instance(*shape)
@@ -506,9 +487,10 @@ def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps,
     assert first.sum(axis=0).min() == 0.0
     # One sweep ends on the absorbing one, so what it returns is what the
     # absorption left.
-    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, sweeps, 1e-300,
-                                            init / eps)
-    assert kernel_builds.count("sinkhorn_log_kernel") > 1
+    events = _spy(monkeypatch)
+    a, b, it, viol, _, newton_steps = sinkhorn_log_kernel(
+        S, p, q, sweeps, 1e-300, init / eps)
+    assert events.count("build") > 1 and newton_steps == 0
     ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, sweeps, 1e-300,
                                              init / eps)
     assert abs(viol - rviol) <= 1e-12
@@ -521,7 +503,8 @@ def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps,
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (5, 7)])
-def test_sweeps_absorb_row_scalings_below_range(shape, kernel_builds):
+def test_sweeps_absorb_row_scalings_below_range(shape, sweeps_only,
+                                                monkeypatch):
     # A row peaked at 1 keeps its sum above 1, so a row scaling leaves the
     # safe range only through its marginal: here one row's mass is 1e-60,
     # below the range, and every sweep folds the row scalings back.
@@ -530,8 +513,9 @@ def test_sweeps_absorb_row_scalings_below_range(shape, kernel_builds):
     p /= p.sum()
     S = np.ascontiguousarray(-C / 0.02)
     b0 = np.random.default_rng(3).normal(size=shape[1])
-    a, b, it, viol, _ = sinkhorn_log_kernel(S, p, q, 20, 1e-300, b0)
-    assert kernel_builds.count("sinkhorn_log_kernel") == 1 + 20
+    events = _spy(monkeypatch)
+    a, b, it, viol, _, _ = sinkhorn_log_kernel(S, p, q, 20, 1e-300, b0)
+    assert events == ["build"] * (1 + 20)
     ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, 20, 1e-300, b0)
     assert abs(viol - rviol) <= 1e-12
     np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
@@ -542,28 +526,46 @@ def test_sweeps_absorb_row_scalings_below_range(shape, kernel_builds):
 @pytest.mark.parametrize("side, drop", [("cols", 1000.0), ("cols", 200.0),
                                         ("rows", 200.0)])
 def test_polish_absorbs_out_of_range_scalings(shape, side, drop,
-                                              kernel_builds):
-    # The polish is started from converged potentials with one of them
-    # lowered by ``drop``. Its kernel's columns are the smaller side, so
-    # the potential belongs to b when n > m and to a when n < m. A column
-    # lowered by 1000 underflows to all zeros; one lowered by 200 needs a
-    # column scaling of about exp(200) and a row lowered by 200 a row
-    # scaling of about exp(200), both past the safe range.
-    sinkhorn_module = importlib.import_module("infoot.sinkhorn")
+                                              monkeypatch):
+    # Newton steps from the first iteration on, started at the solution
+    # with one scaling off by exp(-drop). The loop takes the rows from the
+    # target potential it starts at, so a column is put off through that
+    # potential: lowered by 1000, it underflows to all zeros on the first
+    # kernel; lowered by 200, it needs a column scaling of about exp(200).
+    # A row is put off by lowering the first Newton step on it, and the
+    # steps that raise it back leave the safe range too.
+    module = importlib.import_module("infoot.sinkhorn")
+    monkeypatch.setattr(module, "NEWTON_WARMUP", 0)
     C, p, q = _absorbing_instance(*shape)
     S = np.ascontiguousarray(-C / 0.02)
     a, b, _, _, done = _log_domain_sweeps(S, p, q, 100000, 1e-13)
     assert done
-    a0, b0 = a.copy(), b.copy()
-    on_cols = (side == "cols") == (shape[0] > shape[1])
-    (b0 if on_cols else a0)[1] -= drop
-    start = np.exp(a0[:, None] + b0[None, :] + S)
-    lost = min(start.sum(axis=0).min(), start.sum(axis=1).min()) == 0.0
-    assert lost == (drop == 1000.0)
-    a1, b1, _, viol, converged = sinkhorn_module._newton_polish(
-        S, p, q, a0, b0, 0, 100, 1e-12)
-    assert converged and viol <= 1e-12
-    assert "_newton_polish" in kernel_builds
+    b0 = b.copy()
+    if side == "cols":
+        b0[1] -= drop
+        first = S + b0[None, :]
+        first = np.exp(first - first.max(axis=1, keepdims=True))
+        assert (first.sum(axis=0).min() == 0.0) == (drop == 1000.0)
+    else:
+        row_step = module._newton_row_step
+
+        def lowered(*args):
+            step = row_step(*args)
+            if not lowered.done:
+                step[1] -= drop
+                lowered.done = True
+            return step
+
+        lowered.done = False
+        monkeypatch.setattr(module, "_newton_row_step", lowered)
+    events = _spy(monkeypatch)
+    a1, b1, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
+        S, p, q, 100, 1e-12, b0)
+    assert converged and viol <= 1e-12 and newton_steps == iters
+    assert events.count("build") > 1
+    if side == "rows":
+        assert events[:3] == ["build", "newton out of range", "build"]
+        assert events.count("newton out of range") > 1
     np.testing.assert_allclose(np.exp(a1[:, None] + b1[None, :] + S),
                                np.exp(a[:, None] + b[None, :] + S),
                                rtol=0, atol=1e-12)
