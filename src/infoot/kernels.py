@@ -10,12 +10,13 @@ densities are ever consumed.
 A :class:`KdeModel` is derived from its distance matrices and bandwidth
 alone, so its scales and read-only Grams cannot disagree with them. One
 step, ``_floored_ratio``, floors a KDE joint and divides it by the outer
-product of the kernel row sums. The MI estimate and its gradient reach it
-through ``_density_ratio``, which forms the joint ``(Kx @ G) @ Ky.T``. The
-conditional projection reaches it with ``Kq @ W``, where the plan-side
-factor ``W = G @ Ky(h).T`` and the target row sums ``Ky(h) @ 1`` do not
-depend on the queries; :meth:`KdeModel.projection_factor` keeps them for
-the last (plan, projection bandwidth) pair it was asked for.
+product of the kernel row sums. The solver forms each plan's joint
+``(Kx @ G) @ Ky.T`` once and reads both the MI estimate and its gradient
+off it. The conditional projection reaches the step with ``Kq @ W``, where
+the plan-side factor ``W = G @ Ky(h).T`` and the target row sums
+``Ky(h) @ 1`` do not depend on the queries;
+:meth:`KdeModel.projection_factor` keeps them for the last read-only plan
+and projection bandwidth it was asked for.
 
 The per-domain scale ``sigma`` is the median of the strictly positive
 pairwise distances, which makes a bandwidth grid like ``{0.2, ..., 0.8}``
@@ -24,7 +25,6 @@ meaningful across datasets of different units.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -162,10 +162,9 @@ class KdeModel:
     scale_y: float = field(init=False)
     gram_x: np.ndarray = field(init=False, repr=False)
     gram_y: np.ndarray = field(init=False, repr=False)
-    # (h, plan key, W, r_y) for the last plan and projection bandwidth
-    # scored; at most one, so memory stays one (n, m) factor and one
-    # m-vector, plus a copy of the plan unless it is a read-only array
-    # that owns its data.
+    # (h, plan, W, r_y) for the last read-only plan that owns its data and
+    # projection bandwidth scored; at most one, so memory stays one (n, m)
+    # factor and one m-vector.
     _factor: tuple | None = field(init=False, repr=False, compare=False,
                                   default=None)
 
@@ -194,17 +193,16 @@ class KdeModel:
         row sums ``Ky(h) @ 1`` (m,), where ``Ky(h)`` is the target Gram at
         bandwidth ``h``; both read-only.
 
-        Neither depends on the queries, so the pair for the last plan and
-        ``h`` asked for is kept. It is served again only for the same
-        ``h`` and the same plan: the same read-only array that owns its
-        data, or values equal to a read-only copy kept of any other plan,
-        so a writable plan changed in place is never served stale. At the
-        fitted bandwidth ``Ky`` is ``gram_y`` itself; at another it is
+        Neither depends on the queries, so the pair is kept for the last
+        ``h`` and plan asked for when the plan is a read-only array that
+        owns its data, as :attr:`CouplingMatrix.values` is. It is served
+        again only for the same ``h`` and that same array. A writable plan
+        may change in place, so its pair is recomputed on every call. At
+        the fitted bandwidth ``Ky`` is ``gram_y`` itself; at another it is
         built on a miss and not kept.
         """
         memo = self._factor
-        if memo is not None and memo[0] == h and (
-                g is memo[1] or np.array_equal(g, memo[1])):
+        if memo is not None and memo[0] == h and g is memo[1]:
             return memo[2], memo[3]
         if g.shape != (self.n, self.m):
             raise ValueError(f"plan shape {g.shape} does not match model "
@@ -213,9 +211,8 @@ class KdeModel:
             else gaussian_kernel(self.dist_y.values, h, self.scale_y)
         w, row_sums = g @ ky.T, ky.sum(axis=1)
         w.flags.writeable = row_sums.flags.writeable = False
-        owned = not g.flags.writeable and g.base is None
-        object.__setattr__(self, "_factor",
-                           (h, g if owned else _readonly(g), w, row_sums))
+        if not g.flags.writeable and g.base is None:
+            object.__setattr__(self, "_factor", (h, g, w, row_sums))
         return w, row_sums
 
 
@@ -278,17 +275,15 @@ def _squared_kernel(d2: np.ndarray, h: float, sigma: float) -> np.ndarray:
     ``d2 / -denom`` has the bits of ``-d2 / denom``. A zero distance has
     kernel exactly 1 at every positive bandwidth. When ``2 h^2 sigma^2``
     underflows to zero, the kernel is its small-bandwidth limit: 1 at zero
-    distance and 0 elsewhere. When it is subnormal, large exponents
-    overflow to -inf, whose kernel 0 is the right value, so only the
-    overflow warning is silenced there.
+    distance and 0 elsewhere. Otherwise an exponent that overflows, as
+    large distances do at a subnormal ``2 h^2 sigma^2``, becomes -inf,
+    whose kernel 0 is the right value at any scale, so the overflow
+    warning is silenced.
     """
     denom = 2.0 * h * h * sigma * sigma
     if denom == 0.0:
         return (d2 == 0.0).astype(float)
-    if denom < sys.float_info.min:
-        with np.errstate(over="ignore"):
-            d2 /= -denom
-    else:
+    with np.errstate(over="ignore"):
         d2 /= -denom
     return np.exp(d2, out=d2)
 
@@ -305,15 +300,3 @@ def _floored_ratio(joint: np.ndarray, rx: np.ndarray,
     np.maximum(joint, JOINT_FLOOR, out=joint)
     return joint, joint / np.outer(rx, ry)
 
-
-def _density_ratio(kx: np.ndarray, g: np.ndarray,
-                   ky: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The floored KDE joint ``(kx @ g) @ ky.T`` of an (n, m) plan ``g`` and
-    its ratio to the outer product of the row sums of ``kx`` and ``ky``.
-
-    ``kx`` is the source Gram and ``ky`` the target Gram.
-    """
-    if g.shape != (kx.shape[1], ky.shape[1]):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({kx.shape[1]}, {ky.shape[1]})")
-    return _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))

@@ -11,7 +11,8 @@ cross cost) by mirror descent on the transport polytope: each outer step
 solves a Sinkhorn problem whose cost is the current linearization, with
 step size tied to ``1/eps``. That cost moves little from one step to the
 next, so each solve after a fit's first starts from the previous step's
-target potential.
+target potential. The MI value of a step's plan and the next step's
+gradient are read off one KDE joint, so a K-step fit forms K+1 joints.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .kernels import (DistanceMatrix, KdeModel, _density_ratio, _integer,
+from .kernels import (DistanceMatrix, KdeModel, _floored_ratio, _integer,
                       _plan_values, build_kde_model)
 from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
                        entropy, sinkhorn)
@@ -111,16 +112,27 @@ class AlignmentResult:
         }
 
 
+def _mi_and_gradient(model: KdeModel,
+                     g: np.ndarray) -> tuple[float, np.ndarray]:
+    """The MI estimate of an (n, m) plan ``g`` and its gradient, both read
+    off one floored KDE joint ``J = K_X @ g @ K_Y.T``."""
+    kx, ky = model.gram_x, model.gram_y
+    if g.shape != (model.n, model.m):
+        raise ValueError(f"plan shape {g.shape} does not match model "
+                         f"({model.n}, {model.m})")
+    joint, ratio = _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))
+    mask = g > 0
+    mi = float(np.sum(g[mask] * np.log((model.n * model.m) * ratio[mask])))
+    return mi, np.log(ratio) + kx @ (g / joint) @ ky.T
+
+
 def mutual_information(model: KdeModel, plan) -> float:
     """KDE-estimated mutual information of a transport plan.
 
     Includes the ``log(n*m)`` offset, so the independent plan built from
     uniform marginals scores exactly zero.
     """
-    g = _plan_values(plan)
-    _, ratio = _density_ratio(model.gram_x, g, model.gram_y)
-    mask = g > 0
-    return float(np.sum(g[mask] * np.log((model.n * model.m) * ratio[mask])))
+    return _mi_and_gradient(model, _plan_values(plan))[0]
 
 
 def mi_gradient(model: KdeModel, plan) -> np.ndarray:
@@ -131,9 +143,7 @@ def mi_gradient(model: KdeModel, plan) -> np.ndarray:
     ``log(n*m)`` present in :func:`mutual_information` is dropped; it
     shifts every entry equally and Sinkhorn is invariant to cost shifts.
     """
-    g = _plan_values(plan)
-    joint, ratio = _density_ratio(model.gram_x, g, model.gram_y)
-    return np.log(ratio) + model.gram_x @ (g / joint) @ model.gram_y.T
+    return _mi_and_gradient(model, _plan_values(plan))[1]
 
 
 def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentResult:
@@ -148,20 +158,21 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     outer_converged = False
     delta = math.inf
     init = None
+    _, grad = _mi_and_gradient(model, g)
     for _ in range(cfg.outer_iters):
-        cost = C - lam * mi_gradient(model, g)
+        cost = C - lam * grad
+        del grad  # one (n, m) array fewer alive through the solve
         coupling, rep = sinkhorn(cost, p, q, cfg.eps, max_iter=cfg.inner_max_iter,
                                  tol=cfg.inner_tol, init=init)
         init = rep.potential_target
         inner_iters.append(rep.iterations)
         inner_newton.append(rep.newton_steps)
         inner_ok = inner_ok and rep.converged
-        g_new = coupling.values
-        delta = float(np.abs(g_new - g).sum())
-        mi = mutual_information(model, g_new)
+        delta = float(np.abs(coupling.values - g).sum())
+        g = coupling.values
+        mi, grad = _mi_and_gradient(model, g)
         mi_trace.append(mi)
-        objective_trace.append(float(np.sum(g_new * C)) - lam * mi)
-        g = g_new
+        objective_trace.append(float(np.sum(g * C)) - lam * mi)
         if delta < cfg.outer_tol:
             outer_converged = True
             break

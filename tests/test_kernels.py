@@ -16,7 +16,7 @@ from infoot import (DistanceMatrix, KdeModel, PointSet, build_kde_model,
                     estimate_scale, gaussian_kernel, importance_scores,
                     load_distance_csv, mi_gradient, mutual_information,
                     pairwise_distances)
-from infoot.kernels import _density_ratio, _euclidean
+from infoot.kernels import _euclidean
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -198,25 +198,30 @@ def test_kde_model_single_point_domain():
 
 
 def test_joint_density_matches_loop_oracle():
+    # The MI estimate and its gradient, recomputed entrywise from a
+    # loop-built joint J and the Gram row sums.
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
     kx, ky = model.gram_x, model.gram_y
-    joint, _ = _density_ratio(kx, PLAN, ky)
-    loop = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            loop[i, j] = sum(PLAN[k, l] * kx[i, k] * ky[j, l]
-                             for k in range(3) for l in range(2))
-    np.testing.assert_allclose(joint, loop, rtol=1e-14)
+    pairs = [(k, l) for k in range(3) for l in range(2)]
+    joint = np.zeros((3, 2))
+    for i, j in pairs:
+        joint[i, j] = sum(PLAN[k, l] * kx[i, k] * ky[j, l] for k, l in pairs)
     assert abs(joint[0, 0] - JOINT_00) < 1e-14
     assert abs(joint[2, 1] - JOINT_21) < 1e-14
+    ratio = joint / np.outer(kx.sum(axis=1), ky.sum(axis=1))
+    mi = sum(PLAN[i, j] * math.log(6 * ratio[i, j]) for i, j in pairs)
+    assert abs(mutual_information(model, PLAN) - mi) < 1e-14
+    grad = np.zeros((3, 2))
+    for i, j in pairs:
+        grad[i, j] = math.log(ratio[i, j]) + sum(
+            kx[i, k] * PLAN[k, l] / joint[k, l] * ky[j, l] for k, l in pairs)
+    np.testing.assert_allclose(mi_gradient(model, PLAN), grad, rtol=1e-14)
 
 
 def test_joint_density_shape_check():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
-    with pytest.raises(ValueError, match="does not match model"):
-        _density_ratio(model.gram_x, PLAN.T, model.gram_y)
     for consumer in (mutual_information, mi_gradient):
         with pytest.raises(ValueError, match="does not match model"):
             consumer(model, PLAN.T)

@@ -262,6 +262,8 @@ def test_factor_memo_two_plans_alternated():
 def test_factor_memo_never_serves_a_mutated_plan():
     fit, scores, fresh = _memo_case()
     model = fit.model
+    scores(model, fit.result.coupling, 0.3)
+    kept = model._factor
     plan = np.array(fit.result.coupling.values)
     rng = np.random.default_rng(8)
     for h in (0.3, model.bandwidth):
@@ -272,10 +274,10 @@ def test_factor_memo_never_serves_a_mutated_plan():
             after = scores(model, plan, h)
             assert np.array_equal(after, scores(fresh(), plan, h))
             assert not np.array_equal(before, after)
-            _one_memo_entry(model, h)
-            # the kept key is a read-only copy, not the caller's array
-            assert model._factor[1] is not plan
-            assert not model._factor[1].flags.writeable
+            # a writable plan is never kept, nor does it evict the kept one
+            assert model._factor is kept
+    _one_memo_entry(model, 0.3)
+    assert kept[1] is fit.result.coupling.values
 
 
 def test_factor_memo_alternating_bandwidths():

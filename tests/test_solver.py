@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from infoot import (PointSet, SolverConfig, build_kde_model,
-                    cluster_coherence, entropy, fit_alignment, gen_clusters,
+                    circular_validation, cluster_coherence, entropy,
+                    fit_alignment, gen_clusters,
                     limit_check, load_spec, mi_gradient, mutual_information,
                     pairwise_distances, sinkhorn, solve_fused_infoot,
                     solve_infoot, uniform_weights)
@@ -293,17 +294,37 @@ def test_fit_after_an_unconverged_inner_solve_is_not_strict(monkeypatch):
     assert np.array_equal(res.coupling.values, last[0].values)
 
 
-def test_headline_fit_inner_effort():
+def _count_joints(monkeypatch) -> list:
+    """Record each KDE joint the solver forms: every one passes through
+    ``_floored_ratio`` as ``infoot.solver`` sees it."""
+    import infoot.solver
+
+    floored_ratio = infoot.solver._floored_ratio
+    joints = []
+
+    def counted(joint, rx, ry):
+        joints.append(joint.shape)
+        return floored_ratio(joint, rx, ry)
+
+    monkeypatch.setattr(infoot.solver, "_floored_ratio", counted)
+    return joints
+
+
+def test_headline_fit_inner_effort(monkeypatch):
     # The two_cluster_rotated spec at the bandwidth circular validation
     # picks. Each inner solve starts from the previous step's potential and
     # hands the rest to Newton steps after a short warm-up; started cold
     # with a 50-sweep warm-up, the same fit took 2228 inner iterations.
     spec = load_spec(SPEC_DIR / "two_cluster_rotated.json")
     sample = gen_clusters(spec.generator)
+    joints = _count_joints(monkeypatch)
     fit = fit_alignment(sample.source, sample.target,
                         replace(spec.solver, bandwidth=0.2))
     d = fit.result.diagnostics
     assert fit.result.converged
+    # One joint per plan: the start p q^T, then each step's solved plan
+    # gives both its MI value and the next step's gradient.
+    assert len(joints) == fit.result.iterations + 1
     assert sum(d["inner_iterations"]) <= 400
     assert len(d["inner_newton_steps"]) == len(d["inner_iterations"])
     assert sum(d["inner_newton_steps"]) > 0
@@ -311,6 +332,50 @@ def test_headline_fit_inner_effort():
                                            d["inner_iterations"]))
     assert cluster_coherence(fit.result.coupling, sample.source_ids,
                              sample.target_ids) == 1.0
+
+
+def test_sweep_forms_one_joint_per_plan(monkeypatch):
+    # The sweep's settings: 7 bandwidths, 3 outer steps each and no early
+    # stop, and the reverse fits read off the forward ones, so 7 * (3 + 1)
+    # joints; an MI value and a gradient built apart would take 7 * 3 * 2.
+    spec = load_spec(SPEC_DIR / "two_cluster_rotated.json")
+    sample = gen_clusters(spec.generator)
+    cfg = replace(spec.solver, outer_iters=3, inner_max_iter=300,
+                  inner_tol=1e-7)
+    joints = _count_joints(monkeypatch)
+    circular_validation(sample.source, sample.target, cfg,
+                        spec.bandwidth_grid, spec.projection)
+    assert len(spec.bandwidth_grid) == 7
+    assert len(joints) == 28
+
+
+def test_fit_equals_a_replay_through_the_public_mi_functions():
+    # _pgd reads each plan's MI value and next gradient off one joint; the
+    # public functions, each forming its own joint, give the same bits.
+    rng = np.random.default_rng(29)
+    xs = PointSet(rng.normal(size=(9, 2)))
+    ys = PointSet(rng.normal(size=(7, 2)))
+    C = pairwise_distances(xs, ys).values
+    dx = pairwise_distances(xs, xs)
+    dy = pairwise_distances(ys, ys, kind="intra-target")
+    p, q = uniform_weights(9), uniform_weights(7)
+    cfg = SolverConfig(lam=10.0, eps=0.5, bandwidth=0.4, outer_iters=12)
+    res = solve_fused_infoot(C, dx, dy, p, q, cfg)
+    assert res.iterations > 1
+    model = build_kde_model(dx, dy, cfg.bandwidth)
+    g, init = np.outer(p, q), None
+    mi_trace, objective_trace = [], []
+    for _ in range(res.iterations):
+        cost = C - cfg.lam * mi_gradient(model, g)
+        coupling, rep = sinkhorn(cost, p, q, cfg.eps,
+                                 max_iter=cfg.inner_max_iter,
+                                 tol=cfg.inner_tol, init=init)
+        init, g = rep.potential_target, coupling.values
+        mi_trace.append(mutual_information(model, g))
+        objective_trace.append(float(np.sum(g * C)) - cfg.lam * mi_trace[-1])
+    assert np.array_equal(res.coupling.values, g)
+    assert res.mi_trace == mi_trace
+    assert res.objective_trace == objective_trace
 
 
 def test_solver_rejects_bad_cross_cost():
