@@ -12,90 +12,26 @@ SciPy module, which keeps short runs such as one CLI call quick to start.
 The Sinkhorn scaling loop, whose Newton steps finish a solve where
 sweeps stall, lives in :mod:`infoot.sinkhorn`. ``infoot.BACKEND``
 is the constant ``"python"``, which benchmark results record.
+
+Each module's ``__all__`` lists its public names, and ``infoot.__all__``
+is their union. The function ``sinkhorn`` shadows its module as a
+package attribute; ``importlib.import_module("infoot.sinkhorn")`` returns
+the module.
 """
 
+from . import (datasets, kernels, pipelines, points, projection, solver,
+               sinkhorn as _transport)
 from ._version import __version__
-from .datasets import (ClusterSample, GeneratorConfig, class_conditional_cost,
-                       gen_clusters)
-from .kernels import (DistanceMatrix, KdeModel, build_kde_model, estimate_scale,
-                      gaussian_kernel, load_distance_csv, pairwise_distances)
-from .pipelines import (EvalReport, ExperimentSpec, FitResult,
-                        adaptation_pipeline, circular_validation,
-                        cluster_coherence, fit_alignment, load_spec,
-                        nn_classify, outlier_hits, precision_at_k,
-                        project_pipeline, project_source, retrieval_pipeline,
-                        solve_pipeline, spec_from_dict, stratified_holdout,
-                        validate_bandwidth_pipeline, version_stamp)
-from .points import (PointSet, load_points_csv, save_points_csv,
-                     uniform_weights)
-from .projection import (ProjectionRequest, ScoreMatrix, barycentric_project,
-                         conditional_project, importance_scores,
-                         importance_weights)
-from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
-                       entropy, sinkhorn)
-from .solver import (AlignmentResult, SolverConfig, limit_check, mi_gradient,
-                     mutual_information, solve_fused_infoot, solve_infoot)
+from .datasets import *
+from .kernels import *
+from .pipelines import *
+from .points import *
+from .projection import *
+from .sinkhorn import *
+from .solver import *
 
 BACKEND = "python"
 
-__all__ = [
-    "__version__",
-    "BACKEND",
-    # data containers
-    "PointSet",
-    "DistanceMatrix",
-    "KdeModel",
-    "CouplingMatrix",
-    "SinkhornReport",
-    "SolverConfig",
-    "AlignmentResult",
-    "ProjectionRequest",
-    "ScoreMatrix",
-    "GeneratorConfig",
-    "ClusterSample",
-    "ExperimentSpec",
-    "EvalReport",
-    "FitResult",
-    # kernels and densities
-    "pairwise_distances",
-    "load_distance_csv",
-    "estimate_scale",
-    "gaussian_kernel",
-    "build_kde_model",
-    # transport
-    "sinkhorn",
-    "entropy",
-    "check_marginal",
-    "mutual_information",
-    "mi_gradient",
-    "solve_infoot",
-    "solve_fused_infoot",
-    "limit_check",
-    # projections and scoring
-    "barycentric_project",
-    "conditional_project",
-    "importance_weights",
-    "importance_scores",
-    # data and pipelines
-    "uniform_weights",
-    "load_points_csv",
-    "save_points_csv",
-    "gen_clusters",
-    "class_conditional_cost",
-    "load_spec",
-    "spec_from_dict",
-    "fit_alignment",
-    "project_source",
-    "solve_pipeline",
-    "project_pipeline",
-    "adaptation_pipeline",
-    "retrieval_pipeline",
-    "circular_validation",
-    "validate_bandwidth_pipeline",
-    "stratified_holdout",
-    "nn_classify",
-    "cluster_coherence",
-    "precision_at_k",
-    "outlier_hits",
-    "version_stamp",
-]
+__all__ = ["__version__", "BACKEND", *points.__all__, *kernels.__all__,
+           *_transport.__all__, *solver.__all__, *projection.__all__,
+           *datasets.__all__, *pipelines.__all__]

@@ -36,9 +36,6 @@ from .sinkhorn import CouplingMatrix
 from .solver import AlignmentResult, SolverConfig, solve_fused_infoot
 
 __all__ = [
-    "SCENARIOS",
-    "DEFAULT_BANDWIDTH_GRID",
-    "PRECISION_KS",
     "ExperimentSpec",
     "EvalReport",
     "FitResult",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .kernels import _readonly
 
-__all__ = ["PointSet", "load_points_csv", "uniform_weights"]
+__all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights"]
 
 _WEIGHT_SUM_TOL = 1e-12
 

@@ -46,6 +46,7 @@ __all__ = [
     "SinkhornReport",
     "sinkhorn",
     "entropy",
+    "check_marginal",
 ]
 
 MARGINAL_TOL = 1e-8

@@ -12,21 +12,22 @@ solves a Sinkhorn problem whose cost is the current linearization, with
 step size tied to ``1/eps``. That cost moves little from one step to the
 next, so each solve after a fit's first starts from the previous step's
 target potential. The MI value of a step's plan and the next step's
-gradient are read off one KDE joint, so a K-step fit forms K+1 joints.
+gradient are read off one KDE joint, so a K-step fit forms K+1 joints
+and K gradients.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _floored_ratio, _integer,
                       _plan_values, build_kde_model)
-from .sinkhorn import (CouplingMatrix, SinkhornReport, check_marginal,
-                       entropy, sinkhorn)
+from .sinkhorn import CouplingMatrix, SinkhornReport, check_marginal, sinkhorn
 
 __all__ = [
     "SolverConfig",
@@ -35,7 +36,6 @@ __all__ = [
     "mi_gradient",
     "solve_infoot",
     "solve_fused_infoot",
-    "limit_check",
 ]
 
 
@@ -112,10 +112,14 @@ class AlignmentResult:
         }
 
 
-def _mi_and_gradient(model: KdeModel,
-                     g: np.ndarray) -> tuple[float, np.ndarray]:
-    """The MI estimate of an (n, m) plan ``g`` and its gradient, both read
-    off one floored KDE joint ``J = K_X @ g @ K_Y.T``."""
+def _mi_and_gradient(model: KdeModel, g: np.ndarray
+                     ) -> tuple[float, Callable[[], np.ndarray]]:
+    """The MI estimate of an (n, m) plan ``g`` and a callable that returns
+    its gradient, both read off one floored KDE joint ``J = K_X @ g @ K_Y.T``.
+
+    The gradient's back-product ``K_X (g ./ J) K_Y.T`` is formed only when
+    the callable is called, so a caller that needs just the value skips it.
+    """
     kx, ky = model.gram_x, model.gram_y
     if g.shape != (model.n, model.m):
         raise ValueError(f"plan shape {g.shape} does not match model "
@@ -123,7 +127,7 @@ def _mi_and_gradient(model: KdeModel,
     joint, ratio = _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))
     mask = g > 0
     mi = float(np.sum(g[mask] * np.log((model.n * model.m) * ratio[mask])))
-    return mi, np.log(ratio) + kx @ (g / joint) @ ky.T
+    return mi, lambda: np.log(ratio) + kx @ (g / joint) @ ky.T
 
 
 def mutual_information(model: KdeModel, plan) -> float:
@@ -143,7 +147,7 @@ def mi_gradient(model: KdeModel, plan) -> np.ndarray:
     ``log(n*m)`` present in :func:`mutual_information` is dropped; it
     shifts every entry equally and Sinkhorn is invariant to cost shifts.
     """
-    return _mi_and_gradient(model, _plan_values(plan))[1]
+    return _mi_and_gradient(model, _plan_values(plan))[1]()
 
 
 def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentResult:
@@ -158,10 +162,10 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     outer_converged = False
     delta = math.inf
     init = None
-    _, grad = _mi_and_gradient(model, g)
+    _, gradient = _mi_and_gradient(model, g)
     for _ in range(cfg.outer_iters):
-        cost = C - lam * grad
-        del grad  # one (n, m) array fewer alive through the solve
+        cost = C - lam * gradient()
+        del gradient  # the joint and its ratio need not live through the solve
         coupling, rep = sinkhorn(cost, p, q, cfg.eps, max_iter=cfg.inner_max_iter,
                                  tol=cfg.inner_tol, init=init)
         init = rep.potential_target
@@ -170,7 +174,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
         inner_ok = inner_ok and rep.converged
         delta = float(np.abs(coupling.values - g).sum())
         g = coupling.values
-        mi, grad = _mi_and_gradient(model, g)
+        mi, gradient = _mi_and_gradient(model, g)
         mi_trace.append(mi)
         objective_trace.append(float(np.sum(g * C)) - lam * mi)
         if delta < cfg.outer_tol:
@@ -243,23 +247,3 @@ def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
         raise ValueError(f"cross cost shape {C.shape} does not match domains "
                          f"({model.n}, {model.m})")
     return _pgd(C, model, p, q, cfg, lam=cfg.lam)
-
-
-def limit_check(dx: DistanceMatrix, dy: DistanceMatrix, plan, h: float
-                ) -> tuple[float, float]:
-    """Evaluate the MI estimate against its small-bandwidth limit.
-
-    Returns ``(MI at bandwidth h, log(n*m) - H(plan))``. As ``h`` shrinks
-    the kernel concentrates on exact sample matches and the two sides
-    agree; this requires pairwise-distinct points within each domain.
-    """
-    for d, side in ((dx, "source"), (dy, "target")):
-        off = d.values[~np.eye(d.shape[0], dtype=bool)]
-        if off.size and np.any(off == 0):
-            raise ValueError(f"duplicate {side} points: the small-bandwidth "
-                             "limit needs pairwise-distinct samples")
-    g = _plan_values(plan)
-    model = build_kde_model(dx, dy, h)
-    lhs = mutual_information(model, g)
-    rhs = math.log(model.n * model.m) - entropy(g)
-    return lhs, rhs

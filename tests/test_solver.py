@@ -6,6 +6,7 @@ matching kernel-level values); gradients were cross-checked there with
 central differences at step 1e-6.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,10 +15,9 @@ import pytest
 
 from infoot import (PointSet, SolverConfig, build_kde_model,
                     circular_validation, cluster_coherence, entropy,
-                    fit_alignment, gen_clusters,
-                    limit_check, load_spec, mi_gradient, mutual_information,
-                    pairwise_distances, sinkhorn, solve_fused_infoot,
-                    solve_infoot, uniform_weights)
+                    fit_alignment, gen_clusters, load_spec, mi_gradient,
+                    mutual_information, pairwise_distances, sinkhorn,
+                    solve_fused_infoot, solve_infoot, uniform_weights)
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -87,29 +87,26 @@ def test_gradient_frozen_entries():
 
 
 def test_limit_check_frozen_target():
-    mi, target = limit_check(pairwise_distances(X, X),
-                             pairwise_distances(Y, Y, kind="intra-target"),
-                             PLAN, h=1e-3)
+    # As h shrinks on distinct points, the MI estimate tends to the plan's
+    # Shannon MI, log(n*m) - H(plan) under uniform marginals.
+    target = math.log(PLAN.size) - entropy(PLAN)
     assert abs(target - LOGNM_MINUS_H) < 1e-14
-    assert abs(mi - target) < 1e-3
+    assert abs(mutual_information(_model(1e-3), PLAN) - target) < 1e-3
 
 
 def test_limit_gap_shrinks_with_bandwidth():
-    dx = pairwise_distances(X, X)
-    dy = pairwise_distances(Y, Y, kind="intra-target")
-    gaps = []
-    for h in (0.1, 0.03, 0.01, 0.003, 0.001):
-        mi, target = limit_check(dx, dy, PLAN, h)
-        gaps.append(abs(mi - target))
+    target = math.log(PLAN.size) - entropy(PLAN)
+    gaps = [abs(mutual_information(_model(h), PLAN) - target)
+            for h in (0.1, 0.03, 0.01, 0.003, 0.001)]
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_limit_check_rejects_duplicates():
-    dup = PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(ValueError, match="duplicate"):
-        limit_check(pairwise_distances(dup, dup),
-                    pairwise_distances(Y, Y, kind="intra-target"),
-                    np.full((3, 2), 1 / 6), h=0.01)
+def test_mi_value_builds_no_gradient(monkeypatch):
+    gradients = _count_gradients(monkeypatch)
+    assert abs(mutual_information(_model(), PLAN) - MI_FROZEN) < 1e-13
+    assert gradients == []
+    mi_gradient(_model(), PLAN)
+    assert len(gradients) == 1
 
 
 def test_solver_config_validation():
@@ -310,6 +307,27 @@ def _count_joints(monkeypatch) -> list:
     return joints
 
 
+def _count_gradients(monkeypatch) -> list:
+    """Record each MI gradient the solver builds: every one is a call of
+    the callable ``_mi_and_gradient`` returns, as ``infoot.solver`` sees it."""
+    import infoot.solver
+
+    mi_and_gradient = infoot.solver._mi_and_gradient
+    gradients = []
+
+    def counted(model, g):
+        mi, gradient = mi_and_gradient(model, g)
+
+        def counted_gradient():
+            gradients.append(g.shape)
+            return gradient()
+
+        return mi, counted_gradient
+
+    monkeypatch.setattr(infoot.solver, "_mi_and_gradient", counted)
+    return gradients
+
+
 def test_headline_fit_inner_effort(monkeypatch):
     # The two_cluster_rotated spec at the bandwidth circular validation
     # picks. Each inner solve starts from the previous step's potential and
@@ -318,13 +336,16 @@ def test_headline_fit_inner_effort(monkeypatch):
     spec = load_spec(SPEC_DIR / "two_cluster_rotated.json")
     sample = gen_clusters(spec.generator)
     joints = _count_joints(monkeypatch)
+    gradients = _count_gradients(monkeypatch)
     fit = fit_alignment(sample.source, sample.target,
                         replace(spec.solver, bandwidth=0.2))
     d = fit.result.diagnostics
     assert fit.result.converged
     # One joint per plan: the start p q^T, then each step's solved plan
-    # gives both its MI value and the next step's gradient.
+    # gives both its MI value and the next step's gradient. The last
+    # plan's gradient is never built.
     assert len(joints) == fit.result.iterations + 1
+    assert len(gradients) == fit.result.iterations == 35
     assert sum(d["inner_iterations"]) <= 400
     assert len(d["inner_newton_steps"]) == len(d["inner_iterations"])
     assert sum(d["inner_newton_steps"]) > 0
@@ -338,15 +359,18 @@ def test_sweep_forms_one_joint_per_plan(monkeypatch):
     # The sweep's settings: 7 bandwidths, 3 outer steps each and no early
     # stop, and the reverse fits read off the forward ones, so 7 * (3 + 1)
     # joints; an MI value and a gradient built apart would take 7 * 3 * 2.
+    # Each fit's last plan needs no gradient, so 7 * 3 are built.
     spec = load_spec(SPEC_DIR / "two_cluster_rotated.json")
     sample = gen_clusters(spec.generator)
     cfg = replace(spec.solver, outer_iters=3, inner_max_iter=300,
                   inner_tol=1e-7)
     joints = _count_joints(monkeypatch)
+    gradients = _count_gradients(monkeypatch)
     circular_validation(sample.source, sample.target, cfg,
                         spec.bandwidth_grid, spec.projection)
     assert len(spec.bandwidth_grid) == 7
     assert len(joints) == 28
+    assert len(gradients) == 21
 
 
 def test_fit_equals_a_replay_through_the_public_mi_functions():
