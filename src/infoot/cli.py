@@ -21,22 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import ClusterSample, gen_clusters
-from .pipelines import (EvalReport, ExperimentSpec, adaptation_pipeline,
-                        load_spec, project_pipeline, retrieval_pipeline,
-                        solve_pipeline, validate_bandwidth_pipeline,
-                        version_stamp)
+from .pipelines import (EvalReport, ExperimentSpec, _report,
+                        adaptation_pipeline, load_spec, project_pipeline,
+                        retrieval_pipeline, solve_pipeline,
+                        validate_bandwidth_pipeline)
 from .points import save_points_csv, write_csv
 from .projection import ScoreMatrix
-
-_COMMANDS = {
-    "generate": "sample the scenario data and write it out",
-    "solve": "solve the alignment and write the coupling",
-    "project": "solve, then map source points into the target domain",
-    "adapt": "label-transfer run scored on held-out targets",
-    "retrieve": "cross-domain retrieval scored by precision at k",
-    "validate-bandwidth": "pick the kernel bandwidth by circular validation",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mutual-information regularized transport between "
                     "sampled domains",
         epilog="commands:\n" + "\n".join(
-            f"  {name:<20}{text}" for name, text in _COMMANDS.items()),
+            f"  {name:<20}{text}" for name, (text, _) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS, metavar="command",
                         help="one of the commands listed below")
@@ -112,10 +102,7 @@ def _cmd_generate(spec: ExperimentSpec, outdir: Path) -> int:
     save_points_csv(outdir / "points_source.csv", sample.source)
     save_points_csv(outdir / "points_target.csv", sample.target)
     _write_plot_points(outdir / "plot_points.csv", sample)
-    report = EvalReport(scenario=spec.scenario, metrics={},
-                        config=spec.to_dict(), version=version_stamp(),
-                        wall_time=time.perf_counter() - start)
-    _write_report(outdir, report)
+    _write_report(outdir, _report(spec, {}, start))
     return 0
 
 
@@ -155,15 +142,21 @@ def _cmd_validate(spec: ExperimentSpec, outdir: Path) -> int:
     return 0
 
 
-# The pipelines are looked up when a command runs, so a caller that
-# replaces one of these module names (as the benchmark's tracer does) is seen.
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "solve": lambda spec, out: _write_fit(out, *solve_pipeline(spec)),
-    "project": lambda spec, out: _write_fit(out, *project_pipeline(spec)),
-    "adapt": lambda spec, out: _write_fit(out, *adaptation_pipeline(spec)),
-    "retrieve": lambda spec, out: _write_fit(out, *retrieval_pipeline(spec)),
-    "validate-bandwidth": _cmd_validate,
+# Each command's help text and handler. The pipelines are looked up when a
+# command runs, so a caller that replaces one of these module names (as the
+# benchmark's tracer does) is seen.
+_COMMANDS = {
+    "generate": ("sample the scenario data and write it out", _cmd_generate),
+    "solve": ("solve the alignment and write the coupling",
+              lambda spec, out: _write_fit(out, *solve_pipeline(spec))),
+    "project": ("solve, then map source points into the target domain",
+                lambda spec, out: _write_fit(out, *project_pipeline(spec))),
+    "adapt": ("label-transfer run scored on held-out targets",
+              lambda spec, out: _write_fit(out, *adaptation_pipeline(spec))),
+    "retrieve": ("cross-domain retrieval scored by precision at k",
+                 lambda spec, out: _write_fit(out, *retrieval_pipeline(spec))),
+    "validate-bandwidth": ("pick the kernel bandwidth by circular validation",
+                           _cmd_validate),
 }
 
 
@@ -176,7 +169,8 @@ def main(argv=None) -> int:
                              "'out' key")
         outdir = Path(spec.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](spec, outdir)
+        _, handler = _COMMANDS[args.command]
+        return handler(spec, outdir)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -83,15 +83,25 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class ClusterSample:
-    """Generated pair of domains with evaluation-only ground truth."""
+    """Generated pair of domains with evaluation-only ground truth: the
+    cluster ids are the point sets' labels, with ``OUTLIER_ID`` on outliers."""
 
     source: PointSet
     target: PointSet
-    source_ids: np.ndarray
-    target_ids: np.ndarray
     centers: np.ndarray
     data_sigma: float
-    outlier_indices: np.ndarray
+
+    @property
+    def source_ids(self) -> np.ndarray:
+        return self.source.labels
+
+    @property
+    def target_ids(self) -> np.ndarray:
+        return self.target.labels
+
+    @property
+    def outlier_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.target_ids == OUTLIER_ID)
 
     @property
     def target_outliers(self) -> np.ndarray:
@@ -134,7 +144,6 @@ def gen_clusters(cfg: GeneratorConfig) -> ClusterSample:
 
     centroid = tgt.mean(axis=0)
     data_sigma = float(np.sqrt(np.mean(np.sum((tgt - centroid) ** 2, axis=1))))
-    out_start = tgt.shape[0]
     if cfg.outliers > 0:
         angles = rng.uniform(0.0, 2.0 * np.pi, cfg.outliers)
         radius = cfg.outlier_scale * data_sigma
@@ -145,11 +154,8 @@ def gen_clusters(cfg: GeneratorConfig) -> ClusterSample:
     return ClusterSample(
         source=PointSet(src, labels=src_ids),
         target=PointSet(tgt, labels=tgt_ids),
-        source_ids=src_ids,
-        target_ids=tgt_ids,
         centers=centers,
         data_sigma=data_sigma,
-        outlier_indices=np.arange(out_start, tgt.shape[0]),
     )
 
 

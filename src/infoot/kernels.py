@@ -8,13 +8,13 @@ Kernel normalizing constants are dropped throughout because only ratios of
 densities are ever consumed.
 
 A :class:`KdeModel` is derived from its distance matrices and bandwidth
-alone, so its scales and read-only Grams cannot disagree with them. One
-step, ``_floored_ratio``, floors a KDE joint and divides it by the outer
-product of the kernel row sums. The solver forms each plan's joint
-``(Kx @ G) @ Ky.T`` once and reads both the MI estimate and its gradient
-off it. The conditional projection reaches the step with ``Kq @ W``, where
-the plan-side factor ``W = G @ Ky(h).T`` and the target row sums
-``Ky(h) @ 1`` do not depend on the queries;
+alone: it reads its scales off them, so its read-only Grams cannot
+disagree with them. One step, ``_floored_ratio``, floors a KDE joint and
+divides it by the outer product of the kernel row sums. The solver forms
+each plan's joint ``(Kx @ G) @ Ky.T`` once and reads both the MI estimate
+and its gradient off it. The conditional projection reaches the step
+with ``Kq @ W``, where the plan-side factor ``W = G @ Ky(h).T`` and the
+target row sums ``Ky(h) @ 1`` do not depend on the queries;
 :meth:`KdeModel.projection_factor` keeps them for the last read-only plan
 and projection bandwidth it was asked for.
 
@@ -158,8 +158,6 @@ class KdeModel:
     dist_x: DistanceMatrix
     dist_y: DistanceMatrix
     bandwidth: float
-    scale_x: float = field(init=False)
-    scale_y: float = field(init=False)
     gram_x: np.ndarray = field(init=False, repr=False)
     gram_y: np.ndarray = field(init=False, repr=False)
     # (h, plan, W, r_y) for the last read-only plan that owns its data and
@@ -176,7 +174,6 @@ class KdeModel:
         for side, d in (("x", self.dist_x), ("y", self.dist_y)):
             gram = gaussian_kernel(d.values, h, d.scale)
             gram.flags.writeable = False
-            object.__setattr__(self, f"scale_{side}", d.scale)
             object.__setattr__(self, f"gram_{side}", gram)
 
     @property
@@ -208,7 +205,7 @@ class KdeModel:
             raise ValueError(f"plan shape {g.shape} does not match model "
                              f"({self.n}, {self.m})")
         ky = self.gram_y if h == self.bandwidth \
-            else gaussian_kernel(self.dist_y.values, h, self.scale_y)
+            else gaussian_kernel(self.dist_y.values, h, self.dist_y.scale)
         w, row_sums = g @ ky.T, ky.sum(axis=1)
         w.flags.writeable = row_sums.flags.writeable = False
         if not g.flags.writeable and g.base is None:

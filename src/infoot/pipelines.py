@@ -14,7 +14,7 @@ import functools
 import json
 import subprocess
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import permutations
 from pathlib import Path
 
@@ -96,16 +96,7 @@ class ExperimentSpec:
         return self.scenario in ("adaptation", "imbalance")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "generator": self.generator.to_dict(),
-            "solver": self.solver.to_dict(),
-            "projection": {"mode": self.projection.mode,
-                           "bandwidth": self.projection.bandwidth},
-            "bandwidth_grid": list(self.bandwidth_grid),
-            "class_penalty": self.class_penalty,
-            "out": self.out,
-        }
+        return asdict(self)
 
 
 def _section(name: str, cls, data: dict, **defaults):
@@ -187,24 +178,19 @@ class EvalReport:
     wall_time: float
 
     def __post_init__(self):
-        for key, value in self.metrics.items():
-            value = float(value)
+        metrics = {key: float(value) for key, value in self.metrics.items()}
+        for key, value in metrics.items():
             if not np.isfinite(value):
                 raise ValueError(f"metric {key!r} is not finite")
             if key.startswith(_FRACTION_PREFIXES) \
                     and not -1e-12 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"metric {key!r}={value} outside [0, 1]")
+        object.__setattr__(self, "metrics", metrics)
         if not self.wall_time >= 0:
             raise ValueError("wall_time must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "metrics": {k: float(v) for k, v in self.metrics.items()},
-            "config": self.config,
-            "version": self.version,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -1,8 +1,9 @@
 """Sample containers and CSV reading and writing.
 
 A :class:`PointSet` bundles a domain's samples with optional class labels
-and per-sample marginal weights. Weights default to the uniform histogram
-and always sum to one, so they can be used directly as Sinkhorn marginals.
+and per-sample marginal weights. Weights default to the uniform histogram.
+They are the Sinkhorn marginals, so one rule, :func:`check_marginal`, checks
+both: strictly positive entries that sum to one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .kernels import _readonly
 
-__all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights"]
+__all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights",
+           "check_marginal"]
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -24,6 +26,18 @@ def uniform_weights(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one sample")
     return np.full(n, 1.0 / n)
+
+
+def check_marginal(w, name: str = "marginal") -> np.ndarray:
+    """Validate a strictly positive histogram summing to one."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError(f"{name} must be a nonempty vector")
+    if not np.all(w > 0):
+        raise ValueError(f"{name} entries must be strictly positive")
+    if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -37,7 +51,7 @@ class PointSet:
     labels : ndarray of int, shape (n,), optional
         Class ids used only for evaluation and class-conditional costs.
     weights : ndarray, shape (n,), optional
-        Nonnegative marginal masses summing to one. Uniform by default.
+        Strictly positive marginal masses summing to one. Uniform by default.
     """
 
     points: np.ndarray
@@ -67,10 +81,7 @@ class PointSet:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (n,):
                 raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-            if not np.all(w >= 0):
-                raise ValueError("weights must be nonnegative")
-            if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
-                raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+            check_marginal(w, "weights")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property

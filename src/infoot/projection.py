@@ -66,10 +66,10 @@ class ProjectionRequest:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Importance weights of queries against every target sample."""
+    """Importance weights of queries against every target sample, one
+    probability row per query."""
 
     values: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -79,10 +79,9 @@ class ScoreMatrix:
         # comparisons, and -inf fails the first.
         if vals.size and not (vals.min() >= 0 and vals.max() < np.inf):
             raise ValueError("scores must be finite and nonnegative")
-        if self.normalized:
-            dev = np.max(np.abs(vals.sum(axis=1) - 1.0))
-            if dev > _ROW_SUM_TOL:
-                raise ValueError(f"normalized rows must sum to 1, max dev {dev:.3e}")
+        dev = np.max(np.abs(vals.sum(axis=1) - 1.0))
+        if dev > _ROW_SUM_TOL:
+            raise ValueError(f"score rows must sum to 1, max dev {dev:.3e}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -167,7 +166,7 @@ def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
     w, target_sums = model.projection_factor(g, h)
     d2 = d * d
     d2 -= d2.min(axis=1, keepdims=True)
-    kq = _squared_kernel(d2, h, model.scale_x)
+    kq = _squared_kernel(d2, h, model.dist_x.scale)
     _, weights = _floored_ratio(kq @ w, kq.sum(axis=1), target_sums)
     if normalize:
         weights /= weights.sum(axis=1, keepdims=True)
@@ -217,7 +216,7 @@ def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
     d = model.dist_x.values if queries is None \
         else _distance_rows(model, queries, source_points)
     weights = _weights(model, g, h, d, normalize=True)
-    return ScoreMatrix(weights, normalized=True)
+    return ScoreMatrix(weights)
 
 
 def conditional_project(model: KdeModel, coupling, queries, targets: PointSet,

@@ -40,13 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _integer, _plan_values, _readonly
+from .points import check_marginal
 
 __all__ = [
     "CouplingMatrix",
     "SinkhornReport",
     "sinkhorn",
     "entropy",
-    "check_marginal",
 ]
 
 MARGINAL_TOL = 1e-8
@@ -64,18 +64,6 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
-
-
-def check_marginal(w, name: str = "marginal") -> np.ndarray:
-    """Validate a strictly positive histogram summing to one."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError(f"{name} must be a nonempty vector")
-    if not np.all(w > 0):
-        raise ValueError(f"{name} entries must be strictly positive")
-    if not abs(w.sum() - 1.0) <= MASS_TOL:
-        raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
-    return w
 
 
 @dataclass(frozen=True)

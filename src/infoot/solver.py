@@ -27,7 +27,8 @@ import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _floored_ratio, _integer,
                       _plan_values, build_kde_model)
-from .sinkhorn import CouplingMatrix, SinkhornReport, check_marginal, sinkhorn
+from .points import check_marginal
+from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
 
 __all__ = [
     "SolverConfig",

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infoot.cli import main
+from infoot import load_spec, spec_from_dict
+from infoot.cli import _COMMANDS, _build_parser, main
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
 
 def _write_spec(tmp_path, data, name="spec.json"):
@@ -43,6 +47,31 @@ def test_generate_writes_points_and_report(tmp_path):
     assert report["config"]["generator"]["seed"] == 3
     header = (out / "plot_points.csv").read_text().splitlines()[0]
     assert header == "domain,index,cluster,x0,x1,proj_x0,proj_x1"
+
+
+@pytest.mark.parametrize("name", ["adaptation", "imbalance", "outliers",
+                                  "retrieval", "single_point",
+                                  "two_cluster_rotated"])
+def test_report_config_reproduces_the_spec(tmp_path, name):
+    path = SPEC_DIR / f"{name}.json"
+    out = tmp_path / "run"
+    assert main(["generate", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert spec_from_dict(report["config"]) == replace(load_spec(path),
+                                                       out=str(out))
+
+
+def test_help_lists_the_command_table(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    listed = lines[lines.index("commands:") + 1:]
+    assert listed == [f"  {name:<20}{text}"
+                      for name, (text, _) in _COMMANDS.items()]
+    assert len(listed) == 6
+    (command,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    assert list(command.choices) == list(_COMMANDS)
 
 
 def test_solve_writes_coupling(tmp_path, capsys):

@@ -182,8 +182,8 @@ def test_kde_model_frozen_marginals():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y, kind="intra-target"), H)
     assert model.n == 3 and model.m == 2
-    assert model.scale_x == SCALE_X
-    assert model.scale_y == SCALE_Y
+    assert model.dist_x.scale == SCALE_X
+    assert model.dist_y.scale == SCALE_Y
     marginal_x, marginal_y = model.gram_x.sum(axis=1), model.gram_y.sum(axis=1)
     np.testing.assert_allclose(marginal_x, MARGINAL_X, rtol=1e-14)
     assert np.all(marginal_x > 0) and np.all(marginal_y > 0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from infoot import PointSet, load_points_csv, save_points_csv, uniform_weights
+from infoot import (PointSet, check_marginal, load_points_csv, save_points_csv,
+                    uniform_weights)
 
 
 def test_uniform_weights_sum_to_one():
@@ -58,8 +59,22 @@ def test_pointset_validation():
 
 
 def test_pointset_rejects_nan_weights():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="strictly positive"):
         PointSet(np.zeros((3, 2)), weights=np.array([np.nan, 0.5, 0.5]))
+
+
+def test_pointset_weights_follow_the_marginal_rule():
+    # Weights are the Sinkhorn marginals, so a point set accepts exactly
+    # the histograms that the solvers accept.
+    pts = np.zeros((3, 2))
+    for check in (lambda w: PointSet(pts, weights=w), check_marginal):
+        with pytest.raises(ValueError, match="strictly positive"):
+            check(np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            check(np.array([0.25, 0.25, 0.5 + 5e-11]))
+    for ps in (PointSet(pts), PointSet(pts, weights=[0.25, 0.25, 0.5])):
+        np.testing.assert_array_equal(check_marginal(ps.weights), ps.weights)
+
 
 def test_csv_round_trip_with_labels(tmp_path):
     rng = np.random.default_rng(0)

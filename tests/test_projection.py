@@ -169,7 +169,6 @@ def test_importance_scores_batches_all_queries():
     model = _model()
     scores = importance_scores(model, PLAN, None, Y)
     assert scores.shape == (3, 2)
-    assert scores.normalized
     row0 = importance_weights(model, PLAN, 0, Y, normalize=True)
     np.testing.assert_allclose(scores.values[0], row0, atol=1e-15)
     # index-array and coordinate-batch specs
@@ -304,16 +303,15 @@ def test_projection_request_validation():
 
 def test_score_matrix_validation():
     with pytest.raises(ValueError):
-        ScoreMatrix(np.array([1.0, 2.0]), normalized=False)
-    with pytest.raises(ValueError):
-        ScoreMatrix(np.array([[1.0, -0.5]]), normalized=False)
+        ScoreMatrix(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ScoreMatrix(np.array([[1.5, -0.5]]))  # sums to 1; fails on the sign
     with pytest.raises(ValueError, match="sum to 1"):
-        ScoreMatrix(np.array([[0.4, 0.4]]), normalized=True)
+        ScoreMatrix(np.array([[0.4, 0.4]]))
     for bad in (np.nan, np.inf, -np.inf):
-        for normalized in (False, True):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                ScoreMatrix(np.array([[0.5, bad]]), normalized=normalized)
-    ok = ScoreMatrix(np.array([[0.4, 0.6]]), normalized=True)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ScoreMatrix(np.array([[0.5, bad]]))
+    ok = ScoreMatrix(np.array([[0.4, 0.6]]))
     assert ok.shape == (1, 2)
 
 
@@ -346,7 +344,7 @@ def _rectangular_case():
 def _oracle_row(d_row, model, g, ys, h):
     # w_j ∝ f_plan(x, y_j) / (f_X(x) f_Y(y_j)) for one query whose distances
     # to the source samples are d_row, recomputed from scratch.
-    sx, sy = model.scale_x, model.scale_y
+    sx, sy = model.dist_x.scale, model.dist_y.scale
     kx = np.exp(-d_row ** 2 / (2 * h * h * sx * sx))
     dy = np.sqrt(((ys.points[:, None] - ys.points[None]) ** 2).sum(axis=2))
     ky = np.exp(-dy ** 2 / (2 * h * h * sy * sy))
