@@ -181,4 +181,4 @@ def _class_penalized(d: np.ndarray, labels: np.ndarray,
     points carrying ``labels``; :func:`class_conditional_cost` is this on
     distances it builds, so a caller holding them gets the same bits."""
     mismatch = labels[:, None] != labels[None, :]
-    return DistanceMatrix(d + penalty * mismatch, kind="intra-source")
+    return DistanceMatrix(d + penalty * mismatch)

@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
-_KINDS = ("intra-source", "intra-target", "cross")
 # Gaussian kernels keep densities positive, but tiny bandwidths underflow;
 # the joint is clamped before any division or log.
 JOINT_FLOOR = 1e-300
@@ -80,10 +79,12 @@ def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    out = np.zeros((a.shape[0], b.shape[0]))
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    out = at[0, :, None] - bt[0]
+    out *= out
     diff = np.empty_like(out)
-    for ak, bk in zip(a.T, b.T):
-        np.subtract.outer(ak, bk, out=diff)
+    for ak, bk in zip(at[1:], bt[1:]):
+        np.subtract(ak[:, None], bk, out=diff)
         diff *= diff
         out += diff
     return np.sqrt(out, out=out)
@@ -91,14 +92,14 @@ def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Nonnegative pairwise distances with a domain tag.
+    """Finite nonnegative pairwise distances, read-only.
 
-    Intra-domain matrices must be square, symmetric to 1e-12 and have a
-    zero diagonal; cross matrices are unconstrained beyond nonnegativity.
+    A matrix is intra-domain (:attr:`is_intra`) when its values say so:
+    square, a zero diagonal and symmetric to 1e-12. Only the KDE model and
+    :func:`estimate_scale` need that, and they check it.
     """
 
     values: np.ndarray
-    kind: str = "cross"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -108,21 +109,14 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains non-finite entries")
         if np.any(vals < 0):
             raise ValueError("distance matrix contains negative entries")
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.is_intra:
-            n, m = vals.shape
-            if n != m:
-                raise ValueError(f"intra-domain matrix must be square, got {vals.shape}")
-            if np.any(np.diag(vals) != 0.0):
-                raise ValueError("intra-domain matrix must have a zero diagonal")
-            if np.max(np.abs(vals - vals.T)) > _SYM_TOL:
-                raise ValueError("intra-domain matrix must be symmetric")
         object.__setattr__(self, "values", _readonly(vals))
 
-    @property
+    @cached_property
     def is_intra(self) -> bool:
-        return self.kind != "cross"
+        """Square, with a zero diagonal, and symmetric to 1e-12."""
+        v = self.values
+        return bool(v.shape[0] == v.shape[1] and np.all(np.diag(v) == 0.0)
+                    and np.all(np.abs(v - v.T) <= _SYM_TOL))
 
     @cached_property
     def scale(self) -> float:
@@ -168,7 +162,8 @@ class KdeModel:
 
     def __post_init__(self):
         if not (self.dist_x.is_intra and self.dist_y.is_intra):
-            raise ValueError("KDE model needs intra-domain distance matrices")
+            raise ValueError("KDE model needs intra-domain distance matrices: "
+                             "square, zero diagonal, symmetric to 1e-12")
         h = float(self.bandwidth)
         object.__setattr__(self, "bandwidth", h)
         for side, d in (("x", self.dist_x), ("y", self.dist_y)):
@@ -213,29 +208,21 @@ class KdeModel:
         return w, row_sums
 
 
-def pairwise_distances(a: PointSet, b: PointSet,
-                       kind: str | None = None) -> DistanceMatrix:
+def pairwise_distances(a: PointSet, b: PointSet) -> DistanceMatrix:
     """Euclidean distance matrix between two point sets.
 
-    ``kind`` defaults to ``"intra-source"`` when ``a is b`` and ``"cross"``
-    otherwise; distances already in memory are wrapped directly with
-    ``DistanceMatrix(values, kind=...)``.
+    Distances already in memory are wrapped directly with
+    ``DistanceMatrix(values)``.
     """
-    if kind is None:
-        kind = "intra-source" if a is b else "cross"
     vals = _euclidean(a.points, b.points)
     if a is b:
         np.fill_diagonal(vals, 0.0)
-    return DistanceMatrix(vals, kind=kind)
+    return DistanceMatrix(vals)
 
 
-def load_distance_csv(path, kind: str = "intra-source") -> DistanceMatrix:
+def load_distance_csv(path) -> DistanceMatrix:
     """Read a precomputed distance matrix from a headerless numeric CSV."""
-    vals = np.loadtxt(path, delimiter=",", ndmin=2)
-    if kind != "cross" and vals.shape[0] != vals.shape[1]:
-        raise ValueError(f"{path}: intra-domain matrix must be square, "
-                         f"got shape {vals.shape}")
-    return DistanceMatrix(vals, kind=kind)
+    return DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def estimate_scale(d: DistanceMatrix) -> float:

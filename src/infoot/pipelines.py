@@ -355,9 +355,9 @@ def _distances(source: PointSet, target: PointSet,
     if class_penalty is not None:
         dx = class_conditional_cost(source, class_penalty)
     else:
-        dx = pairwise_distances(source, source, kind="intra-source")
-    dy = pairwise_distances(target, target, kind="intra-target")
-    cross = pairwise_distances(source, target, kind="cross")
+        dx = pairwise_distances(source, source)
+    dy = pairwise_distances(target, target)
+    cross = pairwise_distances(source, target)
     return dx, dy, cross.values
 
 
@@ -470,6 +470,10 @@ def adaptation_pipeline(spec: ExperimentSpec
     """
     start = time.perf_counter()
     sample = gen_clusters(spec.generator)
+    if sample.target.n < 2:
+        raise ValueError("adapt needs at least two target samples: it holds "
+                         "out a tenth of them to score the label transfer; "
+                         f"the spec generates {sample.target.n}")
     train_idx, test_idx = stratified_holdout(sample.target_ids,
                                              HOLDOUT_FRACTION,
                                              spec.generator.seed)
@@ -501,6 +505,10 @@ def retrieval_pipeline(spec: ExperimentSpec
     """
     start = time.perf_counter()
     sample = gen_clusters(spec.generator)
+    if sample.source.n < 2:
+        raise ValueError("retrieve needs at least two source samples: it "
+                         "holds out a tenth of them as queries; the spec "
+                         f"generates {sample.source.n}")
     train_idx, query_idx = stratified_holdout(sample.source_ids,
                                               HOLDOUT_FRACTION,
                                               spec.generator.seed)
@@ -563,7 +571,7 @@ def circular_validation(source: PointSet, target: PointSet,
     # labels.
     dx, dy, cross = _distances(source, target, None)
     if class_penalty is not None:
-        back_dy = DistanceMatrix(dx.values, kind="intra-target")
+        back_dy = dx
         dx = _class_penalized(dx.values, source.labels, class_penalty)
         back_cross = np.ascontiguousarray(cross.T)
     scores = []

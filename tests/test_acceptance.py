@@ -51,7 +51,7 @@ def _cloud_model(seed: int, n_max: int, h: float):
     ys = PointSet(rng.normal(size=(m, 2)))
     model = build_kde_model(
         pairwise_distances(xs, xs),
-        pairwise_distances(ys, ys, kind="intra-target"), h)
+        pairwise_distances(ys, ys), h)
     return model, xs, ys
 
 
@@ -108,7 +108,7 @@ def test_criterion_03_small_bandwidth_limit():
     xs = PointSet(rng.normal(size=(10, 2)))
     ys = PointSet(rng.normal(size=(10, 2)))
     dx = pairwise_distances(xs, xs)
-    dy = pairwise_distances(ys, ys, kind="intra-target")
+    dy = pairwise_distances(ys, ys)
     plan = _feasible_plan(303, 10, 10)
     # The plan's Shannon MI under uniform marginals, which the estimate
     # approaches as h shrinks on distinct points.
@@ -250,8 +250,7 @@ def test_criterion_09_objective_descent():
         C = pairwise_distances(sample.source, sample.target).values
         res = solve_fused_infoot(
             C, pairwise_distances(sample.source, sample.source),
-            pairwise_distances(sample.target, sample.target,
-                               kind="intra-target"),
+            pairwise_distances(sample.target, sample.target),
             sample.source.weights, sample.target.weights,
             SolverConfig(lam=1.0, eps=1.0, bandwidth=0.5,
                          inner_max_iter=5000))

@@ -14,6 +14,8 @@ from infoot import load_spec, spec_from_dict
 from infoot.cli import _COMMANDS, _build_parser, main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+SPECS = ["adaptation", "imbalance", "outliers", "retrieval", "single_point",
+         "two_cluster_rotated"]
 
 
 def _write_spec(tmp_path, data, name="spec.json"):
@@ -49,9 +51,7 @@ def test_generate_writes_points_and_report(tmp_path):
     assert header == "domain,index,cluster,x0,x1,proj_x0,proj_x1"
 
 
-@pytest.mark.parametrize("name", ["adaptation", "imbalance", "outliers",
-                                  "retrieval", "single_point",
-                                  "two_cluster_rotated"])
+@pytest.mark.parametrize("name", SPECS)
 def test_report_config_reproduces_the_spec(tmp_path, name):
     path = SPEC_DIR / f"{name}.json"
     out = tmp_path / "run"
@@ -72,6 +72,37 @@ def test_help_lists_the_command_table(capsys):
     assert len(listed) == 6
     (command,) = [a for a in _build_parser()._actions if a.dest == "command"]
     assert list(command.choices) == list(_COMMANDS)
+
+
+# The exit code and the start of the first stderr line of every shipped
+# spec under every command that does not exit 0 with nothing on stderr.
+_NOT_CLEAN = {
+    # Without the class cost, 50 outer steps are too few at these settings.
+    ("imbalance", "solve"):
+        (2, "warning: fit did not converge: 50 outer steps, "),
+    ("imbalance", "project"):
+        (2, "warning: fit did not converge: 50 outer steps, "),
+    ("single_point", "adapt"):
+        (1, "error: adapt needs at least two target samples: it holds out a "
+            "tenth of them to score the label transfer; the spec generates 1"),
+    ("single_point", "retrieve"):
+        (1, "error: retrieve needs at least two source samples: it holds out "
+            "a tenth of them as queries; the spec generates 1"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("name", SPECS)
+def test_every_spec_under_every_command(tmp_path, capsys, name, command):
+    code = main([command, str(SPEC_DIR / f"{name}.json"),
+                 "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.splitlines()
+    want_code, want_first = _NOT_CLEAN.get((name, command), (0, None))
+    assert code == want_code
+    if want_first is None:
+        assert err == []
+    else:
+        assert err[0].startswith(want_first)
 
 
 def test_solve_writes_coupling(tmp_path, capsys):

@@ -120,7 +120,7 @@ def test_class_conditional_cost_structure():
     ps = PointSet(pts, labels=labels)
     d = class_conditional_cost(ps, penalty=100.0)
     vals = d.values
-    assert d.kind == "intra-source"
+    assert d.is_intra
     mismatch = labels[:, None] != labels[None, :]
     assert np.array_equal(vals, cdist(pts, pts) + 100.0 * mismatch)
     np.testing.assert_array_equal(np.diag(vals), np.zeros(6))

@@ -47,7 +47,7 @@ def test_pairwise_distances_match_loop_oracle():
         d = pairwise_distances(a, b)
         np.testing.assert_allclose(d.values, _loop_distances(a.points, b.points),
                                    atol=1e-12)
-        assert d.kind == "cross"
+        assert not d.is_intra
 
 
 def test_euclidean_equals_scipy_cdist_bitwise():
@@ -70,30 +70,50 @@ def test_self_distances_have_zero_diagonal():
     assert np.all(np.diag(d.values) == 0.0)
 
 
-def test_intra_kind_defaults_when_same_object():
-    d = pairwise_distances(X, X)
-    assert d.kind == "intra-source"
-    assert np.all(np.diag(d.values) == 0.0)
-    np.testing.assert_allclose(d.values, d.values.T, atol=1e-15)
+def test_intra_is_read_off_the_values():
+    copy = PointSet(X.points)
+    for d in (pairwise_distances(X, X), pairwise_distances(X, copy),
+              DistanceMatrix(_loop_distances(X.points, X.points))):
+        assert d.is_intra
+        assert np.all(np.diag(d.values) == 0.0)
+        np.testing.assert_allclose(d.values, d.values.T, atol=1e-15)
+        model = build_kde_model(d, pairwise_distances(Y, Y), H)
+        assert model.dist_x.scale == SCALE_X
+    assert np.array_equal(pairwise_distances(X, copy).values,
+                          pairwise_distances(X, X).values)
+    # Symmetric to the tolerance, not bit for bit, is still intra-domain.
+    near = _loop_distances(X.points, X.points)
+    near[0, 1] += 1e-13
+    assert DistanceMatrix(near).is_intra
 
 
 def test_distance_matrix_invariants():
-    with pytest.raises(ValueError):
-        DistanceMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), kind="cross")
-    with pytest.raises(ValueError):  # asymmetric intra
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), kind="intra-source")
-    with pytest.raises(ValueError):  # nonzero diagonal
-        DistanceMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]), kind="intra-target")
-    with pytest.raises(ValueError):  # intra must be square
-        DistanceMatrix(np.zeros((2, 3)), kind="intra-source")
-    with pytest.raises(ValueError):
-        DistanceMatrix(np.zeros((2, 2)), kind="nonsense")
+    for bad in (np.array([[0.0, -1.0], [1.0, 0.0]]),
+                np.array([[0.0, np.nan], [1.0, 0.0]]),
+                np.array([0.0, 1.0])):
+        with pytest.raises(ValueError):
+            DistanceMatrix(bad)
+    # Valid distances that are not intra-domain: the KDE model and the
+    # scale estimate reject them, on either side.
+    intra = pairwise_distances(Y, Y)
+    for bad in (np.array([[0.0, 1.0], [2.0, 0.0]]),  # asymmetric
+                np.array([[0.0, 1.0], [1.0 + 2e-12, 0.0]]),
+                np.array([[0.5, 1.0], [1.0, 0.0]]),  # nonzero diagonal
+                np.zeros((2, 3))):  # not square
+        d = DistanceMatrix(bad)
+        assert not d.is_intra
+        for dx, dy in ((d, intra), (intra, d)):
+            with pytest.raises(ValueError, match="KDE model needs "
+                               "intra-domain distance matrices: square, "
+                               "zero diagonal, symmetric to 1e-12"):
+                build_kde_model(dx, dy, H)
+        with pytest.raises(ValueError, match="intra-domain"):
+            estimate_scale(d)
 
 
 def test_estimate_scale_frozen_values():
     assert estimate_scale(pairwise_distances(X, X)) == SCALE_X
-    assert estimate_scale(pairwise_distances(Y, Y, kind="intra-target")) \
-        == SCALE_Y
+    assert estimate_scale(pairwise_distances(Y, Y)) == SCALE_Y
 
 
 def test_estimate_scale_degenerate_domain():
@@ -139,7 +159,7 @@ def test_kernel_takes_its_limit_when_the_scale_underflows():
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
     k = gaussian_kernel(d, 1e-170, 1.0)
     np.testing.assert_array_equal(k, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-    gram = _gram(DistanceMatrix(d, kind="intra-source"), 1e-170)
+    gram = _gram(DistanceMatrix(d), 1e-170)
     np.testing.assert_array_equal(gram, k)
     before = d.copy()
     gaussian_kernel(d, 0.5, 1.0)  # computed in a new array, not in d
@@ -161,7 +181,7 @@ def test_kernel_at_a_subnormal_scale_is_quiet_and_exact():
 
 def test_kde_model_is_derived_from_distances_and_bandwidth():
     dx = pairwise_distances(X, X)
-    dy = pairwise_distances(Y, Y, kind="intra-target")
+    dy = pairwise_distances(Y, Y)
     model = KdeModel(dx, dy, H)
     for gram, d in ((model.gram_x, dx), (model.gram_y, dy)):
         np.testing.assert_array_equal(
@@ -180,7 +200,7 @@ def test_kde_model_is_derived_from_distances_and_bandwidth():
 
 def test_kde_model_frozen_marginals():
     model = build_kde_model(pairwise_distances(X, X),
-                            pairwise_distances(Y, Y, kind="intra-target"), H)
+                            pairwise_distances(Y, Y), H)
     assert model.n == 3 and model.m == 2
     assert model.dist_x.scale == SCALE_X
     assert model.dist_y.scale == SCALE_Y
@@ -192,7 +212,7 @@ def test_kde_model_frozen_marginals():
 def test_kde_model_single_point_domain():
     one = PointSet(np.array([[5.0, 5.0]]))
     model = build_kde_model(pairwise_distances(one, one),
-                            pairwise_distances(Y, Y, kind="intra-target"), 0.7)
+                            pairwise_distances(Y, Y), 0.7)
     np.testing.assert_array_equal(model.gram_x, [[1.0]])
     np.testing.assert_array_equal(model.gram_x.sum(axis=1), [1.0])
 
@@ -201,7 +221,7 @@ def test_joint_density_matches_loop_oracle():
     # The MI estimate and its gradient, recomputed entrywise from a
     # loop-built joint J and the Gram row sums.
     model = build_kde_model(pairwise_distances(X, X),
-                            pairwise_distances(Y, Y, kind="intra-target"), H)
+                            pairwise_distances(Y, Y), H)
     kx, ky = model.gram_x, model.gram_y
     pairs = [(k, l) for k in range(3) for l in range(2)]
     joint = np.zeros((3, 2))
@@ -221,7 +241,7 @@ def test_joint_density_matches_loop_oracle():
 
 def test_joint_density_shape_check():
     model = build_kde_model(pairwise_distances(X, X),
-                            pairwise_distances(Y, Y, kind="intra-target"), H)
+                            pairwise_distances(Y, Y), H)
     for consumer in (mutual_information, mi_gradient):
         with pytest.raises(ValueError, match="does not match model"):
             consumer(model, PLAN.T)
@@ -233,10 +253,16 @@ def test_load_distance_csv(tmp_path):
     vals = _loop_distances(X.points, X.points)
     path = tmp_path / "d.csv"
     np.savetxt(path, vals, delimiter=",")
-    d = load_distance_csv(path, kind="intra-source")
+    d = load_distance_csv(path)
     np.testing.assert_allclose(d.values, vals, atol=1e-12)
+    assert d.is_intra
+    build_kde_model(d, pairwise_distances(Y, Y), H)
     cross = _loop_distances(X.points, Y.points)
     path2 = tmp_path / "c.csv"
     np.savetxt(path2, cross, delimiter=",")
+    c = load_distance_csv(path2)
+    assert c.shape == (3, 2) and not c.is_intra
     with pytest.raises(ValueError, match="square"):
-        load_distance_csv(path2, kind="intra-source")
+        build_kde_model(c, pairwise_distances(Y, Y), H)
+    with pytest.raises(ValueError, match="intra-domain"):
+        estimate_scale(c)

@@ -42,7 +42,7 @@ def test_pointset_leaves_caller_arrays_writable():
     assert x.flags.writeable and labels.flags.writeable and w.flags.writeable
     x[0, 0] = 9.0  # the point set holds its own copy
     assert ps.points[0, 0] == 0.0
-    assert ps.labels.dtype.kind == "i"
+    assert np.issubdtype(ps.labels.dtype, np.signedinteger)
 
 
 def test_pointset_validation():

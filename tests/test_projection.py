@@ -28,7 +28,7 @@ PROJ0 = np.array([1.5055210253223876, 0.49447897467761276])
 
 def _model(h=H):
     return build_kde_model(pairwise_distances(X, X),
-                           pairwise_distances(Y, Y, kind="intra-target"), h)
+                           pairwise_distances(Y, Y), h)
 
 
 def test_barycentric_matches_loop_oracle():
@@ -187,7 +187,7 @@ def test_scores_identical_across_thread_counts():
             "x, y, plan, queries, h = json.loads(sys.argv[1])\n"
             "X, Y = PointSet(np.array(x)), PointSet(np.array(y))\n"
             "model = build_kde_model(pairwise_distances(X, X), "
-            "pairwise_distances(Y, Y, kind='intra-target'), h)\n"
+            "pairwise_distances(Y, Y), h)\n"
             "scores = importance_scores(model, np.array(plan), "
             "np.array(queries), Y, source_points=X)\n"
             "print(json.dumps(scores.values.tolist()))\n")
@@ -322,7 +322,7 @@ def test_projection_stays_in_target_hull():
     g = rng.uniform(0.1, 1.0, (8, 6))
     g /= g.sum()
     model = build_kde_model(pairwise_distances(xs, xs),
-                            pairwise_distances(ys, ys, kind="intra-target"),
+                            pairwise_distances(ys, ys),
                             0.5)
     proj = conditional_project(model, g, None, ys)
     lo, hi = ys.points.min(axis=0), ys.points.max(axis=0)
@@ -336,7 +336,7 @@ def _rectangular_case():
     g = rng.uniform(0.1, 1.0, (7, 5))
     g /= g.sum()
     model = build_kde_model(pairwise_distances(xs, xs),
-                            pairwise_distances(ys, ys, kind="intra-target"),
+                            pairwise_distances(ys, ys),
                             0.5)
     return model, g, xs, ys
 

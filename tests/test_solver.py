@@ -34,7 +34,7 @@ LOGNM_MINUS_H = 0.11211158547130329
 
 def _model(h=H):
     return build_kde_model(pairwise_distances(X, X),
-                           pairwise_distances(Y, Y, kind="intra-target"), h)
+                           pairwise_distances(Y, Y), h)
 
 
 def _random_instance(rng, n_max=20, h=None):
@@ -43,7 +43,7 @@ def _random_instance(rng, n_max=20, h=None):
     ys = PointSet(rng.normal(size=(m, 2)))
     h = h if h is not None else float(rng.uniform(0.2, 0.8))
     model = build_kde_model(pairwise_distances(xs, xs),
-                            pairwise_distances(ys, ys, kind="intra-target"), h)
+                            pairwise_distances(ys, ys), h)
     return model, xs, ys
 
 
@@ -139,7 +139,7 @@ def test_plain_solver_traces_and_feasibility():
     ys = PointSet(rng.normal(size=(7, 2)))
     p, q = uniform_weights(9), uniform_weights(7)
     res = solve_infoot(pairwise_distances(xs, xs),
-                       pairwise_distances(ys, ys, kind="intra-target"),
+                       pairwise_distances(ys, ys),
                        p, q, SolverConfig(bandwidth=0.5))
     assert len(res.objective_trace) == len(res.mi_trace) == res.iterations
     # plain objective is the negated MI trace
@@ -157,7 +157,7 @@ def test_objective_nonincreasing_at_unit_tradeoff():
         C = pairwise_distances(xs, ys).values
         res = solve_fused_infoot(
             C, pairwise_distances(xs, xs),
-            pairwise_distances(ys, ys, kind="intra-target"),
+            pairwise_distances(ys, ys),
             uniform_weights(xs.n), uniform_weights(ys.n),
             SolverConfig(lam=1.0, eps=1.0, bandwidth=0.5))
         trace = res.objective_trace
@@ -177,7 +177,7 @@ def test_entropic_value_nonincreasing_at_large_tradeoff():
     h = float(rng.uniform(0.2, 0.8))
     C = pairwise_distances(xs, ys).values
     dx = pairwise_distances(xs, xs)
-    dy = pairwise_distances(ys, ys, kind="intra-target")
+    dy = pairwise_distances(ys, ys)
     res = solve_fused_infoot(
         C, dx, dy, uniform_weights(n), uniform_weights(m),
         SolverConfig(lam=100.0, eps=1.0, bandwidth=h, inner_max_iter=5000))
@@ -205,7 +205,7 @@ def test_plain_mi_trace_nondecreasing():
     for _ in range(3):
         model, xs, ys = _random_instance(rng, n_max=20)
         res = solve_infoot(pairwise_distances(xs, xs),
-                           pairwise_distances(ys, ys, kind="intra-target"),
+                           pairwise_distances(ys, ys),
                            uniform_weights(xs.n), uniform_weights(ys.n),
                            SolverConfig(bandwidth=0.5, inner_max_iter=5000))
         tr = res.mi_trace
@@ -220,7 +220,7 @@ def test_zero_lambda_reduces_to_plain_sinkhorn():
     C = pairwise_distances(xs, ys).values
     res = solve_fused_infoot(
         C, pairwise_distances(xs, xs),
-        pairwise_distances(ys, ys, kind="intra-target"), p, q,
+        pairwise_distances(ys, ys), p, q,
         SolverConfig(lam=0.0, eps=0.5, bandwidth=0.5))
     direct, _ = sinkhorn(C, p, q, eps=0.5)
     np.testing.assert_allclose(res.coupling.values, direct.values, atol=1e-8)
@@ -235,12 +235,12 @@ def test_permutation_equivariance():
     cfg = SolverConfig(lam=5.0, eps=1.0, bandwidth=0.5)
     base = solve_fused_infoot(
         C, pairwise_distances(xs, xs),
-        pairwise_distances(ys, ys, kind="intra-target"), p, q, cfg)
+        pairwise_distances(ys, ys), p, q, cfg)
     perm = rng.permutation(7)
     xs_p = PointSet(xs.points[perm])
     res_p = solve_fused_infoot(
         C[perm], pairwise_distances(xs_p, xs_p),
-        pairwise_distances(ys, ys, kind="intra-target"), p, q, cfg)
+        pairwise_distances(ys, ys), p, q, cfg)
     np.testing.assert_allclose(res_p.coupling.values,
                                base.coupling.values[perm], atol=1e-8)
 
@@ -251,7 +251,7 @@ def test_fused_solver_diagnostics_and_result_dict():
     ys = PointSet(rng.normal(size=(5, 2)))
     res = solve_fused_infoot(
         pairwise_distances(xs, ys).values, pairwise_distances(xs, xs),
-        pairwise_distances(ys, ys, kind="intra-target"),
+        pairwise_distances(ys, ys),
         uniform_weights(5), uniform_weights(5),
         SolverConfig(lam=10.0, eps=1.0, bandwidth=0.4))
     d = res.diagnostics
@@ -283,7 +283,7 @@ def test_fit_after_an_unconverged_inner_solve_is_not_strict(monkeypatch):
     ys = PointSet(rng.normal(size=(4, 2)))
     res = solve_fused_infoot(
         pairwise_distances(xs, ys).values, pairwise_distances(xs, xs),
-        pairwise_distances(ys, ys, kind="intra-target"),
+        pairwise_distances(ys, ys),
         uniform_weights(5), uniform_weights(4),
         SolverConfig(lam=10.0, eps=1.0, bandwidth=0.4))
     assert not res.diagnostics["inner_converged"]
@@ -381,7 +381,7 @@ def test_fit_equals_a_replay_through_the_public_mi_functions():
     ys = PointSet(rng.normal(size=(7, 2)))
     C = pairwise_distances(xs, ys).values
     dx = pairwise_distances(xs, xs)
-    dy = pairwise_distances(ys, ys, kind="intra-target")
+    dy = pairwise_distances(ys, ys)
     p, q = uniform_weights(9), uniform_weights(7)
     cfg = SolverConfig(lam=10.0, eps=0.5, bandwidth=0.4, outer_iters=12)
     res = solve_fused_infoot(C, dx, dy, p, q, cfg)
@@ -404,7 +404,7 @@ def test_fit_equals_a_replay_through_the_public_mi_functions():
 
 def test_solver_rejects_bad_cross_cost():
     dx = pairwise_distances(X, X)
-    dy = pairwise_distances(Y, Y, kind="intra-target")
+    dy = pairwise_distances(Y, Y)
     p, q = uniform_weights(3), uniform_weights(2)
     with pytest.raises(ValueError):
         solve_fused_infoot(np.full((3, 2), np.nan), dx, dy, p, q,
