@@ -130,7 +130,7 @@ def _write_fit(outdir: Path, report: EvalReport, fit, sample: ClusterSample,
     diag = fit.result.diagnostics
     inner = ("all converged" if diag["inner_converged"]
              else "did not all converge")
-    print(f"warning: fit did not converge: {diag['outer_iterations']} outer "
+    print(f"warning: fit did not converge: {fit.result.iterations} outer "
           f"steps, final plan delta {diag['final_plan_delta']:.3g}, inner "
           f"solves {inner}", file=sys.stderr)
     return 2

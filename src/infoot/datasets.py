@@ -9,7 +9,7 @@ the class-conditional source cost; the solvers themselves never read them.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class GeneratorConfig:
     @property
     def n_clusters(self) -> int:
         return len(self.sizes)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,8 @@ def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
     at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     out = at[0, :, None] - bt[0]
     out *= out

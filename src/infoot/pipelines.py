@@ -63,7 +63,7 @@ PRECISION_KS = (1, 5, 15)
 HOLDOUT_FRACTION = 0.1
 
 # Metrics with these prefixes are fractions and must stay inside [0, 1].
-_FRACTION_PREFIXES = ("accuracy", "coherence", "p_at_", "score", "agreement")
+_FRACTION_PREFIXES = ("accuracy", "coherence", "p_at_", "score")
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,12 @@ class ExperimentSpec:
             raise ValueError("class_penalty must be nonnegative")
 
     @property
-    def uses_class_cost(self) -> bool:
-        return self.scenario in ("adaptation", "imbalance")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def source_class_penalty(self) -> float | None:
+        """The class penalty of the source cost, on the scenarios that fit
+        with the class-conditional cost; ``None`` on the others."""
+        if self.scenario in ("adaptation", "imbalance"):
+            return self.class_penalty
+        return None
 
 
 def _section(name: str, cls, data: dict, **defaults):
@@ -189,11 +190,8 @@ class EvalReport:
         if not self.wall_time >= 0:
             raise ValueError("wall_time must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
@@ -415,7 +413,7 @@ def _report(spec: ExperimentSpec, metrics: dict, start: float) -> EvalReport:
     return EvalReport(
         scenario=spec.scenario,
         metrics=metrics,
-        config=spec.to_dict(),
+        config=asdict(spec),
         version=version_stamp(),
         wall_time=time.perf_counter() - start,
     )
@@ -464,9 +462,12 @@ def adaptation_pipeline(spec: ExperimentSpec
     """Label transfer across domains, scored on held-out target points.
 
     Protocol: hold out a stratified tenth of the target (labels hidden
-    during fitting), align the source against the remaining targets with
-    the class-conditional source metric, project the source per the spec,
-    then 1-NN classify the held-out targets against the projected source.
+    during fitting), align the source against the remaining targets,
+    project the source per the spec, then 1-NN classify the held-out
+    targets against the projected source. The source cost is the one
+    :func:`validate_bandwidth_pipeline` tunes for: class-conditional on the
+    scenarios where :attr:`ExperimentSpec.source_class_penalty` is set,
+    plain euclidean on the others.
     """
     start = time.perf_counter()
     sample = gen_clusters(spec.generator)
@@ -480,7 +481,7 @@ def adaptation_pipeline(spec: ExperimentSpec
     train_target = PointSet(sample.target.points[train_idx],
                             labels=sample.target_ids[train_idx])
     fit = fit_alignment(sample.source, train_target, spec.solver,
-                        class_penalty=spec.class_penalty)
+                        class_penalty=spec.source_class_penalty)
     projected = project_source(fit, spec.projection)
     predicted = nn_classify(projected, sample.source_ids,
                             sample.target.points[test_idx])
@@ -601,11 +602,9 @@ def validate_bandwidth_pipeline(spec: ExperimentSpec
     """Run circular validation over the spec's bandwidth grid."""
     start = time.perf_counter()
     sample = gen_clusters(spec.generator)
-    penalty = spec.class_penalty if spec.uses_class_cost else None
-    chosen, pairs = circular_validation(sample.source, sample.target,
-                                        spec.solver, spec.bandwidth_grid,
-                                        spec.projection,
-                                        class_penalty=penalty)
+    chosen, pairs = circular_validation(
+        sample.source, sample.target, spec.solver, spec.bandwidth_grid,
+        spec.projection, class_penalty=spec.source_class_penalty)
     metrics = {"chosen_bandwidth": chosen}
     for h, score in pairs:
         metrics[f"score_h_{h:g}"] = score

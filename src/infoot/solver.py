@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class SolverConfig:
         if not (self.outer_iters >= 1 and self.inner_max_iter >= 1):
             raise ValueError("iteration limits must be at least 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -99,18 +96,6 @@ class AlignmentResult:
     @property
     def iterations(self) -> int:
         return len(self.objective_trace)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary (traces, config echo, timing); no plan values."""
-        return {
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "mi_trace": [float(v) for v in self.mi_trace],
-            "converged": bool(self.converged),
-            "iterations": self.iterations,
-            "wall_time": float(self.wall_time),
-            "config": self.config.to_dict(),
-            "diagnostics": self.diagnostics,
-        }
 
 
 def _mi_and_gradient(model: KdeModel, g: np.ndarray
@@ -151,9 +136,41 @@ def mi_gradient(model: KdeModel, plan) -> np.ndarray:
     return _mi_and_gradient(model, _plan_values(plan))[1]()
 
 
-def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentResult:
-    """Shared projected-gradient loop for the plain and fused objectives."""
+def solve_infoot(dx: DistanceMatrix, dy: DistanceMatrix, p, q,
+                 cfg: SolverConfig) -> AlignmentResult:
+    """Maximize the mutual-information estimate over couplings of ``p, q``.
+
+    Needs only intra-domain distances, so source and target may live in
+    different spaces. This is :func:`solve_fused_infoot` on a zero cross
+    cost at ``lam = 1``, which the result's ``config`` states; the
+    objective trace is then simply the negated MI trace.
+    """
+    C = np.zeros((dx.shape[0], dy.shape[0]))
+    return solve_fused_infoot(C, dx, dy, p, q, replace(cfg, lam=1.0))
+
+
+def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
+                       cfg: SolverConfig) -> AlignmentResult:
+    """Minimize ``<plan, C> - lam * MI(plan)`` over couplings of ``p, q``.
+
+    Each outer step re-solves an entropic transport problem on the current
+    linearization, so the quantity that decreases monotonically is the
+    entropic value ``objective - eps * entropy(plan)``. The raw objective
+    trace follows it closely and is itself nonincreasing for moderate
+    ``lam``; at large trade-off weights (``lam/eps >~ 10``) it can tick
+    upward near the fixed point while the plan's entropy relaxes. The
+    largest such rise is reported in ``diagnostics["objective_max_rise"]``.
+    """
     start = time.perf_counter()
+    p = check_marginal(p, "row marginal")
+    q = check_marginal(q, "col marginal")
+    C = np.asarray(C, dtype=float)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("cross cost contains non-finite entries")
+    model = build_kde_model(dx, dy, cfg.bandwidth)
+    if C.shape != (model.n, model.m):
+        raise ValueError(f"cross cost shape {C.shape} does not match domains "
+                         f"({model.n}, {model.m})")
     g = np.outer(p, q)
     objective_trace: list[float] = []
     mi_trace: list[float] = []
@@ -165,7 +182,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
     init = None
     _, gradient = _mi_and_gradient(model, g)
     for _ in range(cfg.outer_iters):
-        cost = C - lam * gradient()
+        cost = C - cfg.lam * gradient()
         del gradient  # the joint and its ratio need not live through the solve
         coupling, rep = sinkhorn(cost, p, q, cfg.eps, max_iter=cfg.inner_max_iter,
                                  tol=cfg.inner_tol, init=init)
@@ -177,7 +194,7 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
         g = coupling.values
         mi, gradient = _mi_and_gradient(model, g)
         mi_trace.append(mi)
-        objective_trace.append(float(np.sum(g * C)) - lam * mi)
+        objective_trace.append(float(np.sum(g * C)) - cfg.lam * mi)
         if delta < cfg.outer_tol:
             outer_converged = True
             break
@@ -198,53 +215,11 @@ def _pgd(C, model: KdeModel, p, q, cfg: SolverConfig, lam: float) -> AlignmentRe
         config=cfg,
         model=model,
         diagnostics={
-            "outer_iterations": len(objective_trace),
             "outer_converged": outer_converged,
             "final_plan_delta": delta,
             "inner_iterations": inner_iters,
             "inner_newton_steps": inner_newton,
             "inner_converged": inner_ok,
             "objective_max_rise": max_rise,
-            "lam_effective": lam,
         },
     )
-
-
-def solve_infoot(dx: DistanceMatrix, dy: DistanceMatrix, p, q,
-                 cfg: SolverConfig) -> AlignmentResult:
-    """Maximize the mutual-information estimate over couplings of ``p, q``.
-
-    Needs only intra-domain distances, so source and target may live in
-    different spaces. Runs the fused loop with a zero cross cost and unit
-    trade-off weight (``cfg.lam`` is ignored here); the objective trace is
-    then simply the negated MI trace.
-    """
-    p = check_marginal(p, "row marginal")
-    q = check_marginal(q, "col marginal")
-    model = build_kde_model(dx, dy, cfg.bandwidth)
-    C = np.zeros((model.n, model.m))
-    return _pgd(C, model, p, q, cfg, lam=1.0)
-
-
-def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
-                       cfg: SolverConfig) -> AlignmentResult:
-    """Minimize ``<plan, C> - lam * MI(plan)`` over couplings of ``p, q``.
-
-    Each outer step re-solves an entropic transport problem on the current
-    linearization, so the quantity that decreases monotonically is the
-    entropic value ``objective - eps * entropy(plan)``. The raw objective
-    trace follows it closely and is itself nonincreasing for moderate
-    ``lam``; at large trade-off weights (``lam/eps >~ 10``) it can tick
-    upward near the fixed point while the plan's entropy relaxes. The
-    largest such rise is reported in ``diagnostics["objective_max_rise"]``.
-    """
-    p = check_marginal(p, "row marginal")
-    q = check_marginal(q, "col marginal")
-    C = np.asarray(C, dtype=float)
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cross cost contains non-finite entries")
-    model = build_kde_model(dx, dy, cfg.bandwidth)
-    if C.shape != (model.n, model.m):
-        raise ValueError(f"cross cost shape {C.shape} does not match domains "
-                         f"({model.n}, {model.m})")
-    return _pgd(C, model, p, q, cfg, lam=cfg.lam)

@@ -109,7 +109,7 @@ def test_config_validation():
                           outliers=np.int64(2), rotation=np.float32(0.5))
     assert cfg.sizes == (4, 4) and cfg.n_clusters == 2
     assert all(type(s) is int for s in cfg.sizes)
-    assert cfg.to_dict()["seed"] == 1
+    assert cfg.seed == 1
 
 
 def test_class_conditional_cost_structure():

@@ -53,7 +53,7 @@ def test_pairwise_distances_match_loop_oracle():
 def test_euclidean_equals_scipy_cdist_bitwise():
     rng = np.random.default_rng(11)
     shapes = [(1, 7), (7, 1), (1, 1), (9, 13), (40, 25)]
-    for d in (1, 2, 64):
+    for d in (0, 1, 2, 64):
         for scale in (1e-3, 1.0, 1e3):
             for n, m in shapes:
                 a = scale * rng.normal(size=(n, d))

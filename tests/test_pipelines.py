@@ -10,8 +10,8 @@ from conftest import run_child
 
 from infoot import (EvalReport, ExperimentSpec, GeneratorConfig, PointSet,
                     ProjectionRequest, SolverConfig, adaptation_pipeline,
-                    circular_validation, cluster_coherence, gen_clusters,
-                    load_spec, nn_classify, outlier_hits, precision_at_k,
+                    circular_validation, cluster_coherence, fit_alignment,
+                    gen_clusters, load_spec, nn_classify, outlier_hits, precision_at_k,
                     retrieval_pipeline, solve_pipeline, spec_from_dict,
                     stratified_holdout, validate_bandwidth_pipeline,
                     version_stamp)
@@ -326,6 +326,24 @@ def test_adaptation_identity_instance_is_perfect():
     assert report.metrics["accuracy"] == 1.0
     assert report.metrics["n_test"] == 2.0
     assert projected.shape == (20, 2)
+
+
+@pytest.mark.parametrize("scenario", ["point_cloud", "adaptation"])
+def test_adaptation_fits_with_the_spec_source_cost(scenario):
+    # adapt fits with the class-conditional source cost exactly where
+    # validate-bandwidth tunes for it: on the adaptation and imbalance
+    # scenarios, and with the plain cost on the others.
+    spec = spec_from_dict(_spec_dict(scenario=scenario))
+    _, fit, sample, _ = adaptation_pipeline(spec)
+    train, _ = stratified_holdout(sample.target_ids, seed=spec.generator.seed)
+    train_target = PointSet(sample.target.points[train],
+                            labels=sample.target_ids[train])
+    penalty = spec.class_penalty if scenario == "adaptation" else None
+    assert spec.source_class_penalty == penalty
+    expected = fit_alignment(sample.source, train_target, spec.solver,
+                             class_penalty=penalty)
+    assert np.array_equal(fit.result.coupling.values,
+                          expected.result.coupling.values)
 
 
 def test_retrieval_pipeline_metrics():

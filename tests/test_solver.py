@@ -255,12 +255,35 @@ def test_fused_solver_diagnostics_and_result_dict():
         uniform_weights(5), uniform_weights(5),
         SolverConfig(lam=10.0, eps=1.0, bandwidth=0.4))
     d = res.diagnostics
-    for key in ("outer_iterations", "outer_converged", "final_plan_delta",
-                "inner_iterations", "inner_converged", "lam_effective"):
-        assert key in d
-    payload = res.to_dict()
-    assert payload["converged"] == res.converged
-    assert len(payload["objective_trace"]) == res.iterations
+    assert set(d) == {"outer_converged", "final_plan_delta",
+                      "inner_iterations", "inner_newton_steps",
+                      "inner_converged", "objective_max_rise"}
+    assert len(d["inner_iterations"]) == res.iterations == len(res.mi_trace)
+    assert len(d["inner_newton_steps"]) == res.iterations
+    assert res.converged == (d["outer_converged"] and d["inner_converged"])
+    assert res.config.lam == 10.0
+
+
+def test_solve_infoot_is_the_fused_solver_on_a_zero_cost_at_unit_lam():
+    # Pure InfoOT is the fused objective with C = 0 and lam = 1, whatever
+    # lam the caller's config holds; the result's config is the one solved.
+    rng = np.random.default_rng(53)
+    xs = PointSet(rng.normal(size=(7, 2)))
+    ys = PointSet(rng.normal(size=(6, 3)))
+    dx, dy = pairwise_distances(xs, xs), pairwise_distances(ys, ys)
+    p = rng.uniform(0.5, 1.5, size=7)
+    p /= p.sum()
+    q = uniform_weights(6)
+    cfg = SolverConfig(lam=100.0, eps=0.5, bandwidth=0.4, outer_iters=12)
+    res = solve_infoot(dx, dy, p, q, cfg)
+    fused = solve_fused_infoot(np.zeros((7, 6)), dx, dy, p, q,
+                               replace(cfg, lam=1.0))
+    assert res.iterations > 1
+    assert np.array_equal(res.coupling.values, fused.coupling.values)
+    assert res.objective_trace == fused.objective_trace
+    assert res.mi_trace == fused.mi_trace
+    assert res.config.lam == 1.0
+    assert res.config == fused.config == replace(cfg, lam=1.0)
 
 
 def test_fit_after_an_unconverged_inner_solve_is_not_strict(monkeypatch):
@@ -374,8 +397,8 @@ def test_sweep_forms_one_joint_per_plan(monkeypatch):
 
 
 def test_fit_equals_a_replay_through_the_public_mi_functions():
-    # _pgd reads each plan's MI value and next gradient off one joint; the
-    # public functions, each forming its own joint, give the same bits.
+    # The solver reads each plan's MI value and next gradient off one joint;
+    # the public functions, each forming its own joint, give the same bits.
     rng = np.random.default_rng(29)
     xs = PointSet(rng.normal(size=(9, 2)))
     ys = PointSet(rng.normal(size=(7, 2)))
