@@ -182,14 +182,19 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
 
     ``query`` is an integer index of a training source point, or a
     coordinate row for an unseen point (then ``source_points`` or
-    ``query_distances`` must be given). ``h_proj`` defaults to the
-    bandwidth the model was fitted with. Weights are strictly positive up
-    to floating-point underflow; ``normalize=True`` rescales them to a
+    ``query_distances`` must be given). An index selects its own distances
+    and refuses ``query_distances``. ``h_proj`` defaults to the bandwidth
+    the model was fitted with. Weights are strictly positive up to
+    floating-point underflow; ``normalize=True`` rescales them to a
     probability row.
     """
     g, h = _checked_plan(model, coupling, targets, h_proj)
     query = np.asarray(query)
     if query.ndim == 0 and np.issubdtype(query.dtype, np.integer):
+        if query_distances is not None:
+            raise ValueError("query is a training index, which selects its "
+                             "own distances; query_distances goes with a "
+                             "coordinate query")
         d = _distance_rows(model, query, source_points)
     elif query_distances is None:
         d = _distance_rows(model, query.reshape(1, -1), source_points)

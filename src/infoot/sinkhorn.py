@@ -19,11 +19,13 @@ as the kernel grows ill-conditioned, and on such problems they stall for
 thousands of iterations, so every later row update is a damped
 Sinkhorn-Newton step on the dual (Brauer, Clason, Lorenz & Wirth,
 arXiv:1710.06635), ``u <- u * exp(t * da)``, which converges
-quadratically near the solution. Should the line search find no step
-that increases the dual (as happens once rounding dominates), sweeps take
-the rest of the budget. Both kinds of iteration share the column scaling,
-the absorption and the stopping test. Small ``eps`` cannot underflow the
-kernel: when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K``
+quadratically near the solution; its Schur product skips the terms of
+plan entries below ``sqrt(tiny)``, which would only add subnormals.
+Should the line search find no step that increases the dual (as happens
+once rounding dominates), sweeps take the rest of the budget. Both kinds
+of iteration share the column scaling, the absorption and the stopping
+test, which reads the row marginal alone. Small ``eps`` cannot underflow
+the kernel: when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K``
 underflows, the scalings are absorbed into ``(a, b)`` and ``K`` is
 rebuilt. What leaves the module is log potentials, and the returned plan
 is ``exp(S + a + b)`` of them, so its tiny entries are what a log-domain
@@ -61,6 +63,8 @@ _MAX_HALVINGS = 30
 # can disconnect it.
 _RIDGE = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)
+# Plan entries below this are left out of the Newton system's Schur product.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
@@ -192,10 +196,12 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
     sum of ``K`` underflow, the scalings are folded into ``(a, b)`` and
     that update is redone in the log domain, rebuilding ``K`` with one
     ``exp`` pass (absorption). Starts from the target log-scaling ``b``
-    (zero when omitted) and stops on the L1 violation of both marginals.
-    Returns ``(a, b, iterations, violation, converged, newton_steps)``
-    where ``a`` and ``b`` are the log-domain scalings of the last iterate
-    and the iterations include the Newton steps.
+    (zero when omitted) and stops on the L1 violation of the row marginal
+    alone: the column update that ends every iteration makes the column
+    marginal exact to rounding. Returns ``(a, b, iterations, violation,
+    converged, newton_steps)`` where ``a`` and ``b`` are the log-domain
+    scalings of the last iterate, ``violation`` is its row violation and
+    the iterations include the Newton steps.
     """
     S = np.asarray(S, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -231,8 +237,7 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
                 if _in_range(u):
                     log_u = None
             if log_u is None:
-                Ktu = u @ K
-                v = q / Ktu
+                v = q / (u @ K)
                 if not _in_range(v):
                     log_u = np.log(u)
             if log_u is not None:
@@ -240,12 +245,9 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
                 b, K = _peaked_kernel(S.T, a)
                 K = K.T
                 u = np.ones_like(u)
-                Ktu = K.sum(axis=0)
-                v = q / Ktu
-            col_viol = np.abs(v * Ktu - q).sum()
+                v = q / K.sum(axis=0)
             Kv = K @ v
-            row_viol = np.abs(u * Kv - p).sum()
-            viol = row_viol + col_viol
+            viol = np.abs(u * Kv - p).sum()
             if viol <= tol:
                 return (a + np.log(u), b + np.log(v), it, float(viol), True,
                         newton_steps)
@@ -257,8 +259,8 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
              init=None) -> tuple[CouplingMatrix, SinkhornReport]:
     """Solve ``min <plan, C> - eps * H(plan)`` over couplings of ``p, q``.
 
-    Iterates until the L1 violation of both marginals drops below ``tol`` or
-    ``max_iter`` is hit; the latter is reported through the ``converged``
+    Iterates until the L1 violation of the row marginal drops below ``tol``
+    or ``max_iter`` is hit; the latter is reported through the ``converged``
     flag rather than an exception. ``init`` is an optional starting target
     potential in cost units, as in ``report.potential_target``; passing the
     potential of a solve on a nearby cost (a warm start) saves most of the
@@ -300,7 +302,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
             raise ValueError("init contains non-finite entries")
         init = init / eps
 
-    S = np.ascontiguousarray(-C / eps)
+    S = C / -eps
     a, b, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
         S, p, q, max_iter, tol, init)
     plan = np.exp(a[:, None] + b[None, :] + S)
@@ -360,11 +362,16 @@ def _newton_direction(plan, r, c, gp, gq):
     # ridge, the system is positive definite.
     r_reg = r + _RIDGE * r.max()
     scaled = plan / r_reg[:, None]
+    rhs = gq - scaled.T @ gp
+    # The Schur product skips the terms of plan entries below sqrt(tiny):
+    # far below the diagonal (about c_j) and the ridge, they would add only
+    # subnormal products, which the CPU computes on a slow path.
+    scaled[plan < _SQRT_TINY] = 0.0
     K = plan.T @ scaled
     K *= -1
     K[np.diag_indices(m)] += c + _RIDGE * c.max()
     K += c.mean() / m
-    db = np.linalg.solve(K, gq - scaled.T @ gp)
+    db = np.linalg.solve(K, rhs)
     da = (gp - plan @ db) / r_reg
     return da, db
 
@@ -379,14 +386,18 @@ def _armijo_step(plan, da, db, slope, log_nm):
     sets the step's length across blocks, and it can be huge: the first
     trial is cut so that the plan's mass cannot overflow, and backtracking
     goes on from there. ``None`` means no trial increased the dual enough.
-    The halvings share two n x m buffers, freed on return.
+    Each trial rebuilds ``D`` in place, so the halvings share two n x m
+    buffers, freed on return.
     """
-    step = da[:, None] + db[None, :]
-    t = min(1.0, (_LOG_MAX - log_nm) / max(np.abs(step).max(), 1.0))
-    D = np.empty_like(step)
-    E = np.empty_like(step)
+    # Rounding is monotone, so the largest |da_i + db_j| is taken at the
+    # extremes of da and db.
+    reach = max(abs(da.max() + db.max()), abs(da.min() + db.min()))
+    t = min(1.0, (_LOG_MAX - log_nm) / max(reach, 1.0))
+    D = np.empty(plan.shape)
+    E = np.empty(plan.shape)
     for _ in range(_MAX_HALVINGS):
-        np.multiply(step, t, out=D)
+        np.add(da[:, None], db[None, :], out=D)
+        D *= t
         np.expm1(D, out=E)
         E -= D
         E *= plan

@@ -106,6 +106,16 @@ def test_query_distances_path_matches_coordinates():
     np.testing.assert_allclose(w_dist, w_coords, atol=1e-15)
 
 
+@pytest.mark.parametrize("index", [1, np.int64(1)], ids=["int", "int64"])
+def test_index_query_refuses_query_distances(index):
+    # An index selects its own distance row, so distances given with it
+    # would be dropped without a word.
+    model = _model()
+    with pytest.raises(ValueError, match="query.*query_distances"):
+        importance_weights(model, PLAN, index, Y,
+                           query_distances=model.dist_x.values[0])
+
+
 @pytest.mark.parametrize("h_proj", [H, 0.3, 1e-170])
 def test_query_forms_give_equal_weights(h_proj):
     # An in-sample index, the same point as coordinates and its distance

@@ -572,3 +572,81 @@ def test_polish_absorbs_out_of_range_scalings(shape, side, drop,
     shift = a1 - a
     np.testing.assert_allclose(shift, shift[0], rtol=0, atol=1e-9)
     np.testing.assert_allclose(b1 - b, -shift[0], rtol=0, atol=1e-9)
+
+
+def _premise_case(case, monkeypatch):
+    """``(C, p, q, eps, kwargs)`` of one solve for
+    :func:`test_loop_measures_only_the_rows`."""
+    if case == "cold":
+        return C3, P3, Q3, 0.1, {}
+    C, p, q, eps = _newton_instance()
+    if case == "warm":
+        noise = np.random.default_rng(8).uniform(0, 1, C.shape)
+        _, rep = sinkhorn(C + 0.05 * noise, p, q, eps, max_iter=20000)
+        return C, p, q, eps, {"init": rep.potential_target}
+    if case == "sweeps only":
+        monkeypatch.setattr(importlib.import_module("infoot.sinkhorn"),
+                            "NEWTON_WARMUP", sys.maxsize)
+    elif case == "absorbing":
+        C, p, q = _absorbing_instance(7, 5)
+        eps = 1 / 2000
+    elif case == "capped":
+        return C, p, q, eps, {"max_iter": NEWTON_WARMUP + 1}
+    return C, p, q, eps, {}
+
+
+@pytest.mark.parametrize("case", ["cold", "warm", "sweeps only", "newton",
+                                  "absorbing", "capped"])
+def test_loop_measures_only_the_rows(case, monkeypatch):
+    # Every iteration ends on the exact column scaling, so the returned
+    # plan meets its column marginal to rounding, far below tol, however
+    # the solve stopped; the violation the loop reports is its rows'.
+    C, p, q, eps, kwargs = _premise_case(case, monkeypatch)
+    kwargs.setdefault("max_iter", 20000)
+    tol = 1e-9
+    coupling, report = sinkhorn(C, p, q, eps, tol=tol, **kwargs)
+    assert report.converged == (case != "capped")
+    if case in ("sweeps only", "newton"):
+        assert (report.newton_steps > 0) == (case == "newton")
+    plan = coupling.values
+    assert np.abs(plan.sum(axis=0) - q).sum() <= 1e-2 * tol
+    row_dev = np.abs(plan.sum(axis=1) - p).sum()
+    assert abs(report.violation - row_dev) <= 1e-11
+
+
+def _unmasked_direction(plan, r, c, gp, gq):
+    # The Newton direction with every product in its Schur complement,
+    # solved on the columns; the plan has at least as many rows.
+    m = plan.shape[1]
+    r_reg = r + 1e-12 * r.max()
+    scaled = plan / r_reg[:, None]
+    K = -(plan.T @ scaled)
+    K[np.diag_indices(m)] += c + 1e-12 * c.max()
+    K += c.mean() / m
+    db = np.linalg.solve(K, gq - scaled.T @ gp)
+    return (gp - plan @ db) / r_reg, db
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (30, 40)])
+def test_newton_direction_skips_subnormal_products(shape):
+    # Half the plan's nonzero entries lie below 1e-154, so their pairwise
+    # products are subnormal. The Schur product leaves them out; the
+    # direction is the one the full product gives.
+    module = importlib.import_module("infoot.sinkhorn")
+    rng = np.random.default_rng(4)
+    plan = rng.uniform(0.5, 1.5, shape)
+    tiny = rng.uniform(size=shape) < 0.5
+    plan[tiny] *= 1e-160
+    plan /= plan.sum()
+    assert 0.4 < np.mean(plan < 1e-154) < 0.6
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    p = r * rng.uniform(0.9, 1.1, r.size)
+    q = c * rng.uniform(0.9, 1.1, c.size)
+    gp, gq = p / p.sum() - r, q / q.sum() - c
+    da, db = module._newton_direction(plan, r, c, gp, gq)
+    if shape[1] > shape[0]:
+        rdb, rda = _unmasked_direction(plan.T, c, r, gq, gp)
+    else:
+        rda, rdb = _unmasked_direction(plan, r, c, gp, gq)
+    np.testing.assert_allclose(da, rda, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(db, rdb, rtol=1e-12, atol=0)
