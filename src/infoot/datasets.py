@@ -8,12 +8,11 @@ the class-conditional source cost; the solvers themselves never read them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DistanceMatrix, _integer, pairwise_distances
+from .kernels import DistanceMatrix, _integer, _real, pairwise_distances
 from .points import PointSet
 
 __all__ = [
@@ -49,29 +48,24 @@ class GeneratorConfig:
 
     def __post_init__(self):
         _integer("seed", self.seed)
-        _integer("outliers", self.outliers)
-        if isinstance(self.rotation, bool) \
-                or not isinstance(self.rotation, numbers.Real):
-            raise TypeError(f"rotation must be a real number, "
-                            f"got {self.rotation!r}")
-        sizes = tuple(_integer("sizes", s) for s in self.sizes)
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("sizes must be a nonempty tuple of counts >= 1")
+        _integer("outliers", self.outliers, 0)
+        _real("rotation", self.rotation)
+        _real("spread", self.spread, "nonnegative")
+        for name in ("separation", "outlier_scale"):
+            _real(name, getattr(self, name), "positive")
+        sizes = tuple(_integer("sizes", s, 1) for s in self.sizes)
+        if not sizes:
+            raise ValueError("sizes must be a nonempty tuple of counts")
         object.__setattr__(self, "sizes", sizes)
         if self.target_sizes is not None:
-            tsizes = tuple(_integer("target_sizes", s)
+            tsizes = tuple(_integer("target_sizes", s, 1)
                            for s in self.target_sizes)
-            if len(tsizes) != len(sizes) or any(s < 1 for s in tsizes):
-                raise ValueError("target_sizes must match the cluster count "
-                                 "with counts >= 1")
+            if len(tsizes) != len(sizes):
+                raise ValueError("target_sizes must match the cluster count")
             object.__setattr__(self, "target_sizes", tsizes)
         if self.identity and self.target_sizes is not None \
                 and self.target_sizes != sizes:
             raise ValueError("identity targets copy the source sizes")
-        if not (self.spread >= 0 and self.separation > 0):
-            raise ValueError("spread must be >= 0 and separation > 0")
-        if not (self.outliers >= 0 and self.outlier_scale > 0):
-            raise ValueError("outliers must be >= 0 with positive scale")
 
     @property
     def n_clusters(self) -> int:
@@ -166,8 +160,7 @@ def class_conditional_cost(points: PointSet,
     """
     if points.labels is None:
         raise ValueError("class-conditional cost needs labeled points")
-    if not penalty >= 0:
-        raise ValueError("penalty must be nonnegative")
+    penalty = _real("penalty", penalty, "nonnegative")
     return _class_penalized(pairwise_distances(points, points).values,
                             points.labels, penalty)
 

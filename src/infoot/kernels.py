@@ -25,6 +25,8 @@ meaningful across datasets of different units.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -57,11 +59,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer is a TypeError."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when given; a bool or a
+    non-integer is a TypeError, a smaller value a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return int(value)
+
+
+def _real(name: str, value, sign: str | None = None) -> float:
+    """``value`` as a finite float, also ``> 0`` or ``>= 0`` when ``sign`` is
+    ``"positive"`` or ``"nonnegative"``. A bool or a non-real is a
+    TypeError; NaN, an infinity or a value out of range a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (sign is None or x > 0
+                                  or x == 0 and sign == "nonnegative")):
+        raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}"
+                         f"finite, got {value}")
+    return x
 
 
 def _plan_values(plan) -> np.ndarray:
@@ -166,7 +188,7 @@ class KdeModel:
         if not (self.dist_x.is_intra and self.dist_y.is_intra):
             raise ValueError("KDE model needs intra-domain distance matrices: "
                              "square, zero diagonal, symmetric to 1e-12")
-        h = float(self.bandwidth)
+        h = _real("bandwidth", self.bandwidth, "positive")
         object.__setattr__(self, "bandwidth", h)
         for side, d in (("x", self.dist_x), ("y", self.dist_y)):
             gram = gaussian_kernel(d.values, h, d.scale)
@@ -245,10 +267,8 @@ def estimate_scale(d: DistanceMatrix) -> float:
 
 def gaussian_kernel(values: np.ndarray, h: float, sigma: float) -> np.ndarray:
     """Entrywise ``exp(-d^2 / (2 h^2 sigma^2))`` without normalization."""
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    if not sigma > 0:
-        raise ValueError(f"scale must be positive, got {sigma}")
+    h = _real("bandwidth", h, "positive")
+    sigma = _real("scale", sigma, "positive")
     d = np.asarray(values, dtype=float)
     return _squared_kernel(d * d, h, sigma)
 

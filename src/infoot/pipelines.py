@@ -26,7 +26,7 @@ from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        _class_penalized, class_conditional_cost, gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, _euclidean, _integer,
-                      _plan_values, pairwise_distances)
+                      _plan_values, _real, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -82,14 +82,12 @@ class ExperimentSpec:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, "
                              f"got {self.scenario!r}")
-        grid = tuple(float(h) for h in self.bandwidth_grid)
-        if not grid or not all(h > 0 for h in grid):
-            raise ValueError("bandwidth_grid must be nonempty with positive "
-                             "entries")
-        object.__setattr__(self, "bandwidth_grid", grid)
-        object.__setattr__(self, "class_penalty", float(self.class_penalty))
-        if not self.class_penalty >= 0:
-            raise ValueError("class_penalty must be nonnegative")
+        object.__setattr__(self, "bandwidth_grid", _grid(self.bandwidth_grid))
+        object.__setattr__(self, "class_penalty", _real(
+            "class_penalty", self.class_penalty, "nonnegative"))
+        if not (self.out is None or isinstance(self.out, str)):
+            raise TypeError(f"out must be a path string or null, "
+                            f"got {self.out!r}")
 
     @property
     def source_class_penalty(self) -> float | None:
@@ -98,6 +96,14 @@ class ExperimentSpec:
         if self.scenario in ("adaptation", "imbalance"):
             return self.class_penalty
         return None
+
+
+def _grid(grid) -> tuple[float, ...]:
+    """A nonempty bandwidth grid's entries, each checked by :func:`_real`."""
+    grid = tuple(_real("bandwidth_grid entries", h, "positive") for h in grid)
+    if not grid:
+        raise ValueError("bandwidth_grid must be nonempty")
+    return grid
 
 
 def _section(name: str, cls, data: dict, **defaults):
@@ -179,16 +185,14 @@ class EvalReport:
     wall_time: float
 
     def __post_init__(self):
-        metrics = {key: float(value) for key, value in self.metrics.items()}
+        metrics = {key: _real(f"metric {key!r}", float(value))
+                   for key, value in self.metrics.items()}
         for key, value in metrics.items():
-            if not np.isfinite(value):
-                raise ValueError(f"metric {key!r} is not finite")
             if key.startswith(_FRACTION_PREFIXES) \
                     and not -1e-12 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"metric {key!r}={value} outside [0, 1]")
         object.__setattr__(self, "metrics", metrics)
-        if not self.wall_time >= 0:
-            raise ValueError("wall_time must be nonnegative")
+        _real("wall_time", self.wall_time, "nonnegative")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -556,12 +560,9 @@ def circular_validation(source: PointSet, target: PointSet,
     """
     if source.labels is None:
         raise ValueError("circular validation needs labeled source points")
-    if class_penalty is not None and not class_penalty >= 0:
-        raise ValueError("class_penalty must be nonnegative")
-    grid = sorted(float(h) for h in grid)
-    if not grid or not all(h > 0 for h in grid):
-        raise ValueError("bandwidth grid must be nonempty with positive "
-                         "entries")
+    if class_penalty is not None:
+        class_penalty = _real("class_penalty", class_penalty, "nonnegative")
+    grid = sorted(_grid(grid))
     projection = projection or ProjectionRequest()
     # No distance depends on h, so each is built once. A solved reverse fit
     # aligns the same points the other way round: its target matrix is the

@@ -70,9 +70,17 @@ class PointSet:
         object.__setattr__(self, "points", _readonly(pts))
 
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
+            labels = np.asarray(self.labels)
             if labels.shape != (n,):
                 raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+            if not np.issubdtype(labels.dtype, np.integer):
+                # Whole floats such as 2.0 are ids; 1.7, NaN and inf are not.
+                labels = np.asarray(labels, dtype=float)
+                whole = np.isfinite(labels) & (labels == np.round(labels))
+                if not whole.all():
+                    raise ValueError(f"labels must be whole numbers, got "
+                                     f"{labels[~whole][0]}")
+            labels = labels.astype(int, copy=False)
             object.__setattr__(self, "labels", _readonly(labels))
 
         if self.weights is None:
@@ -118,12 +126,12 @@ def load_points_csv(path) -> PointSet:
             data[i] = [float(v) for v in row]
         except ValueError as exc:
             raise ValueError(f"{path}: row {i + 2}: {exc}") from None
-    if has_labels:
-        labels = data[:, -1]
-        if np.any(labels != np.round(labels)):
-            raise ValueError(f"{path}: label column must hold integers")
-        return PointSet(data[:, :-1], labels=labels.astype(int))
-    return PointSet(data)
+    try:
+        if has_labels:
+            return PointSet(data[:, :-1], labels=data[:, -1])
+        return PointSet(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_csv(path, rows, header=None) -> None:

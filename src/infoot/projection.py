@@ -28,7 +28,7 @@ import numpy as np
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
 from .kernels import (KdeModel, _euclidean, _floored_ratio, _plan_values,
-                      _squared_kernel)
+                      _real, _squared_kernel)
 from .points import PointSet
 
 __all__ = [
@@ -60,8 +60,8 @@ class ProjectionRequest:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("projection bandwidth must be positive")
+        if self.bandwidth is not None:
+            _real("projection bandwidth", self.bandwidth, "positive")
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ def _checked_plan(model: KdeModel, coupling, targets: PointSet,
     g = _plan_values(coupling)
     if targets.n != model.m:
         raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
-    h = model.bandwidth if h_proj is None else float(h_proj)
-    if not h > 0:
-        raise ValueError("projection bandwidth must be positive")
+    h = model.bandwidth if h_proj is None \
+        else _real("projection bandwidth", h_proj, "positive")
     return g, h
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _integer, _plan_values, _readonly
+from .kernels import _integer, _plan_values, _readonly, _real
 from .points import check_marginal
 
 __all__ = [
@@ -261,10 +261,11 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
 
     Iterates until the L1 violation of the row marginal drops below ``tol``
     or ``max_iter`` is hit; the latter is reported through the ``converged``
-    flag rather than an exception. ``init`` is an optional starting target
-    potential in cost units, as in ``report.potential_target``; passing the
-    potential of a solve on a nearby cost (a warm start) saves most of the
-    iterations, and ``None`` starts from zero. The solve is one call of
+    flag rather than an exception, with the plan rescaled to unit mass.
+    ``init`` is an optional starting target potential in cost units, as in
+    ``report.potential_target``; passing the potential of a solve on a
+    nearby cost (a warm start) saves most of the iterations, and ``None``
+    starts from zero. The solve is one call of
     :func:`sinkhorn_log_kernel`: the first ``NEWTON_WARMUP`` iterations are
     stabilized Sinkhorn sweeps, and a solve still unconverged after them
     continues with damped Sinkhorn-Newton steps on the row scaling, each
@@ -280,13 +281,9 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         raise ValueError(f"cost matrix must be 2-d, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix contains non-finite entries")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    max_iter = _integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    eps = _real("eps", eps, "positive")
+    max_iter = _integer("max_iter", max_iter, 1)
+    tol = _real("tol", tol, "positive")
     p = check_marginal(p, "row marginal")
     q = check_marginal(q, "col marginal")
     if C.shape != (p.size, q.size):
@@ -305,7 +302,15 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     S = C / -eps
     a, b, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
         S, p, q, max_iter, tol, init)
-    plan = np.exp(a[:, None] + b[None, :] + S)
+    plan = a[:, None] + b[None, :] + S
+    if not converged:
+        # Once |S| nears 1e9, rounding in S + a + b costs the plan the unit
+        # mass its scalings keep, and at far smaller eps exp overflows: a
+        # capped solve's plan is peaked at 1 and rescaled to unit mass.
+        plan -= plan.max()
+    np.exp(plan, out=plan)
+    if not converged:
+        plan /= plan.sum()
     coupling = CouplingMatrix._of_solve(plan, p, q, converged)
     report = SinkhornReport(
         iterations=int(iters),

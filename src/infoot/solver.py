@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _floored_ratio, _integer,
-                      _plan_values, build_kde_model)
+                      _plan_values, _real, build_kde_model)
 from .points import check_marginal
 from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
 
@@ -59,17 +59,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it.
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _real("lam", self.lam, "nonnegative")
         for name in ("eps", "bandwidth", "outer_tol", "inner_tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _real(name, getattr(self, name), "positive")
         for name in ("outer_iters", "inner_max_iter"):
-            _integer(name, getattr(self, name))
-        if not (self.outer_iters >= 1 and self.inner_max_iter >= 1):
-            raise ValueError("iteration limits must be at least 1")
+            _integer(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ SPECS = ["adaptation", "imbalance", "outliers", "retrieval", "single_point",
          "two_cluster_rotated"]
 
 
+# The real-valued settings of the solver and generator sections.
+_SOLVER_REALS = ("lam", "eps", "bandwidth", "outer_tol", "inner_tol")
+_GENERATOR_REALS = ("rotation", "spread", "separation", "outlier_scale")
+
+
 def _write_spec(tmp_path, data, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -183,12 +188,19 @@ def test_exit_1_without_out_dir(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def test_exit_1_on_nan_override(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--epsilon", "nan", "eps must be positive", id="epsilon-nan"),
+    pytest.param("--epsilon", "inf", "eps must be positive", id="epsilon-inf"),
+    pytest.param("--lambda", "inf", "lam must be nonnegative", id="lambda-inf"),
+    pytest.param("--bandwidth", "inf", "bandwidth must be positive",
+                 id="bandwidth-inf"),
+])
+def test_exit_1_on_nan_override(tmp_path, capsys, flag, value, message):
     spec = _write_spec(tmp_path, _spec_data())
     out = tmp_path / "run"
-    assert main(["solve", spec, "--epsilon", "nan", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "eps must be positive" in err
+    assert main(["solve", spec, flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
 
 
 @pytest.mark.parametrize("over", [
@@ -206,13 +218,50 @@ def test_exit_1_on_nan_override(tmp_path, capsys):
     {"generator": {"sizes": [5, 5], "seed": 3, "outliers": 2.5}},
     {"generator": {"sizes": [5, 5], "seed": 3, "outliers": True}},
     {"generator": {"sizes": [5, 5], "seed": 3, "rotation": "x"}},
+    *({"solver": {name: bad}} for name in _SOLVER_REALS for bad in (True, "1")),
+    *({"generator": {"sizes": [5, 5], "seed": 3, name: bad}}
+      for name in _GENERATOR_REALS for bad in (True, "1")),
+    {"projection": {"bandwidth": True}},
+    {"projection": {"bandwidth": "0.5"}},
+    {"bandwidth_grid": ["0.5"]},
+    {"bandwidth_grid": [0.5, True]},
+    {"class_penalty": "5000"},
+    {"class_penalty": True},
+    {"out": 3},
 ])
 def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
     spec = _write_spec(tmp_path, _spec_data(**over))
     assert main(["solve", spec, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.splitlines()
-    section = next(iter(over))
+    # A top-level key is a value of the spec section itself.
+    key = next(iter(over))
+    section = key if key in ("generator", "solver", "projection") else "spec"
     assert len(err) == 1 and err[0].startswith(f"error: invalid {section} ")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", [
+    *(("solver", name) for name in _SOLVER_REALS),
+    *(("generator", name) for name in _GENERATOR_REALS),
+    ("projection", "bandwidth"), ("spec", "bandwidth_grid"),
+    ("spec", "class_penalty")], ids=lambda field: ".".join(field))
+def test_exit_1_on_non_finite_spec_value(tmp_path, capsys, field, bad):
+    # JSON written by Python may carry NaN and Infinity; no real setting
+    # takes them, and the one error line names the field.
+    section, name = field
+    data = _spec_data()
+    value = [0.5, bad] if name == "bandwidth_grid" else bad
+    if section == "spec":
+        data[name] = value
+    else:
+        data[section] = data[section] | {name: value}
+    spec = _write_spec(tmp_path, data)
+    assert main(["solve", spec, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert name in err[0] and "finite" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_every_command_writes_lf_csvs_that_round_trip(tmp_path,

@@ -132,6 +132,19 @@ def test_class_conditional_cost_structure():
             assert abs(vals[i, j] - expect) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["rotation", "spread", "separation",
+                                  "outlier_scale"])
+def test_generator_reals_follow_one_rule(name):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GeneratorConfig(sizes=(3,), seed=0, **{name: bad})
+    for bad in (True, "1"):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number"):
+            GeneratorConfig(sizes=(3,), seed=0, **{name: bad})
+    # The record keeps the value as given.
+    assert getattr(GeneratorConfig(sizes=(3,), seed=0, **{name: 1}), name) == 1
+
+
 def test_class_conditional_cost_guards():
     from infoot import PointSet
     unlabeled = PointSet(np.zeros((3, 2)) + np.arange(3)[:, None])
@@ -140,3 +153,8 @@ def test_class_conditional_cost_guards():
     labeled = PointSet(unlabeled.points, labels=np.array([0, 1, 0]))
     with pytest.raises(ValueError):
         class_conditional_cost(labeled, penalty=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^penalty must be nonnegative"):
+            class_conditional_cost(labeled, penalty=bad)
+    with pytest.raises(TypeError, match="^penalty must be a real number"):
+        class_conditional_cost(labeled, penalty="5000")

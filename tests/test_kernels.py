@@ -16,7 +16,7 @@ from infoot import (DistanceMatrix, KdeModel, PointSet, build_kde_model,
                     estimate_scale, gaussian_kernel, importance_scores,
                     load_distance_csv, mi_gradient, mutual_information,
                     pairwise_distances)
-from infoot.kernels import _euclidean
+from infoot.kernels import _euclidean, _real
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -151,6 +151,32 @@ def test_gram_underflows_to_zero_at_tiny_bandwidth():
     gram = _gram(pairwise_distances(X, X), 1e-4)
     off = gram[~np.eye(3, dtype=bool)]
     assert np.all(off == 0.0)
+
+
+def test_real_setting_rule():
+    # A finite real comes back as a float; the sign, when given, is checked.
+    assert _real("h", np.float32(0.5), "positive") == 0.5
+    assert type(_real("h", 2, "positive")) is float
+    assert _real("rotation", -1.5) == -1.5
+    assert _real("spread", 0, "nonnegative") == 0.0
+    for bad in (True, np.bool_(True), "0.5", None, np.array(0.5)):
+        with pytest.raises(TypeError, match="^h must be a real number"):
+            _real("h", bad, "positive")
+    for sign, bad in [(None, math.nan), (None, math.inf), (None, -math.inf),
+                      (None, 10**400), ("nonnegative", -1e-300),
+                      ("positive", 0), ("positive", -0.0)]:
+        with pytest.raises(ValueError, match="^h must be .*finite, got"):
+            _real("h", bad, sign)
+    with pytest.raises(ValueError, match="^h must be positive and finite"):
+        _real("h", math.inf, "positive")
+
+
+@pytest.mark.parametrize("h, sigma", [(math.inf, 1.0), (0.5, math.inf),
+                                      (0.5, 0.0), (True, 1.0)])
+def test_kernel_refuses_a_bad_bandwidth_or_scale(h, sigma):
+    error = TypeError if h is True else ValueError
+    with pytest.raises(error, match="^(bandwidth|scale) must be"):
+        gaussian_kernel(np.zeros((2, 2)), h, sigma)
 
 
 def test_kernel_takes_its_limit_when_the_scale_underflows():

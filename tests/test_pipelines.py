@@ -60,6 +60,15 @@ def test_spec_rejects_unknown_and_missing_keys():
         spec_from_dict([1, 2, 3])
 
 
+def test_spec_out_is_a_path_string_or_null():
+    # Anything else would reach Path() in the CLI and end in a traceback.
+    for bad in (3, True, ["run"]):
+        with pytest.raises(ValueError, match="^invalid spec value: out must"):
+            spec_from_dict(_spec_dict(out=bad))
+    assert spec_from_dict(_spec_dict(out="run")).out == "run"
+    assert spec_from_dict(_spec_dict()).out is None
+
+
 def test_load_spec_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "scenario": "point_cloud",\n  oops\n}\n')
@@ -382,6 +391,14 @@ def test_circular_validation_guards():
         circular_validation(PointSet(unlabeled), sample.target, cfg, [0.5])
     with pytest.raises(ValueError):
         circular_validation(sample.source, sample.target, cfg, [])
+    with pytest.raises(ValueError, match="^bandwidth_grid entries must be"):
+        circular_validation(sample.source, sample.target, cfg, [0.5, np.inf])
+    with pytest.raises(TypeError, match="^bandwidth_grid entries must be"):
+        circular_validation(sample.source, sample.target, cfg, ["0.5"])
+    for bad in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="^class_penalty must be"):
+            circular_validation(sample.source, sample.target, cfg, [0.5],
+                                class_penalty=bad)
 
 
 def test_validate_bandwidth_pipeline_single_entry_grid():

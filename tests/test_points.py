@@ -86,6 +86,23 @@ def test_csv_round_trip_with_labels(tmp_path):
     np.testing.assert_array_equal(back.labels, ps.labels)
 
 
+def test_pointset_labels_are_whole_numbers(tmp_path):
+    # A fractional or non-finite label is refused, not truncated; the CSV
+    # loader reaches the same rule through PointSet.
+    for bad in ([0, 1.7], [0, np.nan], [0, np.inf]):
+        with pytest.raises(ValueError, match="^labels must be whole numbers"):
+            PointSet(np.zeros((2, 2)), labels=bad)
+    ps = PointSet(np.zeros((3, 2)), labels=[0, 2.0, -1.0])
+    assert ps.labels.tolist() == [0, 2, -1]
+    assert np.issubdtype(ps.labels.dtype, np.signedinteger)
+    path = tmp_path / "frac.csv"
+    path.write_text("x0,label\n1.0,0\n2.0,1.5\n")
+    with pytest.raises(ValueError, match="frac.csv: labels must be whole"):
+        load_points_csv(path)
+    path.write_text("x0,label\n1.0,0\n2.0,1.0\n")
+    assert load_points_csv(path).labels.tolist() == [0, 1]
+
+
 def test_csv_round_trip_unlabeled(tmp_path):
     ps = PointSet(np.array([[1.5, -2.0], [0.25, 1e-12]]))
     path = tmp_path / "pts.csv"

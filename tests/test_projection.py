@@ -150,6 +150,20 @@ def test_nan_inputs_rejected():
         importance_scores(model, PLAN, np.array([[np.nan, 0.0]]), Y,
                           source_points=X)
 
+def test_projection_bandwidth_follows_the_real_rule():
+    model = _model()
+    for bad in (np.inf, -np.inf, 0.0):
+        with pytest.raises(ValueError, match="^projection bandwidth must be"):
+            ProjectionRequest(bandwidth=bad)
+        with pytest.raises(ValueError, match="^projection bandwidth must be"):
+            importance_scores(model, PLAN, None, Y, h_proj=bad)
+    for bad in (True, "0.3"):
+        with pytest.raises(TypeError, match="^projection bandwidth must be"):
+            ProjectionRequest(bandwidth=bad)
+        with pytest.raises(TypeError, match="^projection bandwidth must be"):
+            importance_weights(model, PLAN, 0, Y, h_proj=bad)
+
+
 def test_out_of_sample_needs_source_info():
     with pytest.raises(ValueError, match="supply"):
         importance_weights(_model(), PLAN, np.array([0.1, 0.2]), Y)

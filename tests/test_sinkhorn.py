@@ -15,7 +15,7 @@ from scipy.special import xlogy
 import infoot
 from infoot import (CouplingMatrix, SinkhornReport, check_marginal, entropy,
                     sinkhorn, uniform_weights)
-from infoot.sinkhorn import (MARGINAL_TOL, NEWTON_WARMUP,
+from infoot.sinkhorn import (MARGINAL_TOL, MASS_TOL, NEWTON_WARMUP,
                              sinkhorn_log_kernel)
 
 C3 = np.array([[0.0, 1.0, 2.0],
@@ -146,6 +146,37 @@ def test_sinkhorn_non_convergence_is_flagged_not_raised():
     assert abs(coupling.values.sum() - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
+def test_capped_solve_at_tiny_eps_returns_a_unit_mass_plan(eps):
+    # |S| = |C| / eps reaches 1e9 and more here, where the plan rebuilt as
+    # exp(S + a + b) loses its unit mass to rounding. A solve that stops at
+    # its cap still returns its plan, flagged and not strict.
+    C = np.random.default_rng(0).random((20, 25)) * 2
+    p, q = uniform_weights(20), uniform_weights(25)
+    coupling, report = sinkhorn(C, p, q, eps, max_iter=10)
+    assert not report.converged and not coupling.strict
+    assert abs(coupling.values.sum() - 1.0) <= MASS_TOL
+
+
+def test_capped_solve_plan_cannot_overflow(monkeypatch):
+    # At eps far below 1e-9, rounding can put S + a + b past the range of
+    # exp. Shifting the returned potentials by 800 does that here; the
+    # capped solve's plan is still the finite, unit-mass rescaling.
+    module = importlib.import_module("infoot.sinkhorn")
+    kernel = module.sinkhorn_log_kernel
+    reference, _ = sinkhorn(C3, P3, Q3, eps=0.1, max_iter=2)
+
+    def shifted(*args):
+        a, b, *rest = kernel(*args)
+        return (a + 800.0, b, *rest)
+
+    monkeypatch.setattr(module, "sinkhorn_log_kernel", shifted)
+    coupling, report = sinkhorn(C3, P3, Q3, eps=0.1, max_iter=2)
+    assert not report.converged and not coupling.strict
+    np.testing.assert_allclose(coupling.values, reference.values,
+                               rtol=1e-13, atol=0)
+
+
 def test_converged_solve_off_the_marginal_tolerance_is_not_strict():
     # A loose caller tolerance converges in the caller's sense while the
     # plan still misses MARGINAL_TOL; the plan must say so, not raise.
@@ -199,6 +230,14 @@ def test_sinkhorn_input_validation():
             sinkhorn(C3, P3, Q3, eps=0.1, max_iter=bad)
     _, report = sinkhorn(C3, P3, Q3, eps=0.1, max_iter=np.int64(3))
     assert report.iterations <= 3
+    # eps and tol follow the rule of every real setting.
+    for name in ("eps", "tol"):
+        for bad in (np.inf, -np.inf, np.nan, 0.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                sinkhorn(C3, P3, Q3, **{"eps": 0.1, name: bad})
+        for bad in (True, "0.1"):
+            with pytest.raises(TypeError, match=f"^{name} must be a real"):
+                sinkhorn(C3, P3, Q3, **{"eps": 0.1, name: bad})
 
 
 def test_sinkhorn_small_eps_large_cost_is_stable():
@@ -365,7 +404,9 @@ def test_entropy_matches_xlogy_with_zero_entries():
 def _log_domain_sweeps(S, p, q, max_iter, tol, b=None):
     """Reference: Sinkhorn sweeps on the log potentials, two log-sum-exp
     passes per iteration, with no scaling kernel and so nothing to absorb.
-    Same contract as ``sinkhorn_log_kernel``."""
+    Same contract as ``sinkhorn_log_kernel``: it stops on the L1 violation
+    of the row marginal alone, as the column update makes the column
+    marginal exact to rounding."""
     def lse(X, axis):
         mx = X.max(axis=axis, keepdims=True)
         return (np.log(np.exp(X - mx).sum(axis=axis, keepdims=True))
@@ -380,10 +421,8 @@ def _log_domain_sweeps(S, p, q, max_iter, tol, b=None):
         a = logp - row_lse
         col_lse = lse(S + a[:, None], axis=0)
         b = logq - col_lse
-        col_viol = np.abs(np.exp(b + col_lse) - q).sum()
         row_lse = lse(S + b[None, :], axis=1)
-        row_viol = np.abs(np.exp(a + row_lse) - p).sum()
-        viol = row_viol + col_viol
+        viol = np.abs(np.exp(a + row_lse) - p).sum()
         if viol <= tol:
             return a, b, it, float(viol), True
     return a, b, max_iter, float(viol), False

@@ -127,11 +127,21 @@ def test_solver_config_validation():
     assert cfg.lam == 100.0 and cfg.eps == 1.0
 
 
-@pytest.mark.parametrize("name", ["lam", "eps", "bandwidth", "outer_tol",
-                                  "inner_tol"])
-def test_solver_config_rejects_nan(name):
-    with pytest.raises(ValueError, match=name):
-        SolverConfig(**{name: float("nan")})
+# NaN keeps the bare field name as its id; the other bad values add theirs.
+_BAD_REALS = {"nan": float("nan"), "inf": math.inf, "-inf": -math.inf,
+              "True": True, "str": "1"}
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=name if key == "nan" else f"{name}-{key}")
+    for name in ("lam", "eps", "bandwidth", "outer_tol", "inner_tol")
+    for key, value in _BAD_REALS.items()])
+def test_solver_config_rejects_nan(name, value):
+    # One rule for every real setting: a bool or a string is the wrong
+    # type, NaN and the infinities are out of range.
+    error = TypeError if isinstance(value, (bool, str)) else ValueError
+    with pytest.raises(error, match=f"^{name} must be"):
+        SolverConfig(**{name: value})
 
 def test_plain_solver_traces_and_feasibility():
     rng = np.random.default_rng(31)
