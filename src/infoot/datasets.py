@@ -47,7 +47,7 @@ class GeneratorConfig:
     identity: bool = False
 
     def __post_init__(self):
-        _integer("seed", self.seed)
+        _integer("seed", self.seed, 0)
         _integer("outliers", self.outliers, 0)
         _real("rotation", self.rotation)
         _real("spread", self.spread, "nonnegative")

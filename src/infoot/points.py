@@ -36,7 +36,7 @@ def check_marginal(w, name: str = "marginal") -> np.ndarray:
     if not np.all(w > 0):
         raise ValueError(f"{name} entries must be strictly positive")
     if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
-        raise ValueError(f"{name} must sum to 1, got {w.sum()!r}")
+        raise ValueError(f"{name} must sum to 1, got {float(w.sum())}")
     return w
 
 

@@ -106,27 +106,32 @@ class CouplingMatrix:
         self = object.__new__(cls)
         object.__setattr__(self, "strict",
                            bool(converged) and max(dev) <= MARGINAL_TOL)
-        self._settle(vals, p, q, dev)
+        self._settle(vals, p, q, dev, own=True)
         return self
 
-    def _settle(self, vals, p, q, dev=None):
+    def _settle(self, vals, p, q, dev=None, own=False):
         """Check the plan against the checked marginals ``p, q``, reusing
         its largest deviations ``dev`` from them when given, then store
-        read-only copies."""
+        read-only copies; with ``own``, ``vals`` is a fresh C-contiguous
+        array nobody else holds, stored read-only without a copy."""
         if vals.shape != (p.size, q.size):
             raise ValueError(f"plan shape {vals.shape} does not match marginals "
                              f"({p.size}, {q.size})")
         if not np.all(vals >= 0):
             raise ValueError("plan entries must be nonnegative")
         if not abs(vals.sum() - 1.0) <= MASS_TOL:
-            raise ValueError(f"plan mass must be 1, got {vals.sum()!r}")
+            raise ValueError(f"plan mass must be 1, got {float(vals.sum())}")
         if self.strict:
             if dev is None:
                 dev = self.marginal_violation(vals, p, q)
             if not max(dev) <= MARGINAL_TOL:
                 raise ValueError(f"plan violates marginals: max row dev "
                                  f"{dev[0]:.3e}, max col dev {dev[1]:.3e}")
-        object.__setattr__(self, "values", _readonly(vals))
+        if own:
+            vals.flags.writeable = False
+        else:
+            vals = _readonly(vals)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "row_marginal", _readonly(p))
         object.__setattr__(self, "col_marginal", _readonly(q))
 
@@ -300,9 +305,14 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         init = init / eps
 
     S = C / -eps
+    # A cost passed as a temporary dies here, before the kernel is built
+    # (on CPython >= 3.11; before it, the caller's stack holds it).
+    del C
     a, b, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
         S, p, q, max_iter, tol, init)
-    plan = a[:, None] + b[None, :] + S
+    plan = np.add.outer(a, b)
+    plan += S
+    del S
     if not converged:
         # Once |S| nears 1e9, rounding in S + a + b costs the plan the unit
         # mass its scalings keep, and at far smaller eps exp overflows: a
@@ -373,6 +383,9 @@ def _newton_direction(plan, r, c, gp, gq):
     # subnormal products, which the CPU computes on a slow path.
     scaled[plan < _SQRT_TINY] = 0.0
     K = plan.T @ scaled
+    # Freed before the solve copies K, so this phase stays below the peak
+    # of the line search.
+    del scaled
     K *= -1
     K[np.diag_indices(m)] += c + _RIDGE * c.max()
     K += c.mean() / m

@@ -99,6 +99,9 @@ def _mi_and_gradient(model: KdeModel, g: np.ndarray
 
     The gradient's back-product ``K_X (g ./ J) K_Y.T`` is formed only when
     the callable is called, so a caller that needs just the value skips it.
+    The callable may be called once: it forms ``g ./ J`` in the joint's
+    buffer and the log ratio in the ratio's, and lets go of ``g``, the
+    joint and the ratio.
     """
     kx, ky = model.gram_x, model.gram_y
     if g.shape != (model.n, model.m):
@@ -106,8 +109,22 @@ def _mi_and_gradient(model: KdeModel, g: np.ndarray
                          f"({model.n}, {model.m})")
     joint, ratio = _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))
     mask = g > 0
-    mi = float(np.sum(g[mask] * np.log((model.n * model.m) * ratio[mask])))
-    return mi, lambda: np.log(ratio) + kx @ (g / joint) @ ky.T
+    terms = ratio[mask]
+    terms *= model.n * model.m
+    np.log(terms, out=terms)
+    terms *= g[mask]
+    mi = float(terms.sum())
+    held = [g, joint, ratio]
+
+    def gradient():
+        g, joint, ratio = held
+        held.clear()
+        back = kx @ np.divide(g, joint, out=joint) @ ky.T
+        del joint
+        back += np.log(ratio, out=ratio)
+        return back
+
+    return mi, gradient
 
 
 def mutual_information(model: KdeModel, plan) -> float:
@@ -143,6 +160,14 @@ def solve_infoot(dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     return solve_fused_infoot(C, dx, dy, p, q, replace(cfg, lam=1.0))
 
 
+def _step_cost(grad: np.ndarray, C: np.ndarray, lam: float) -> np.ndarray:
+    """The linearized cost ``C - lam * grad``, with its bits, built in the
+    buffer of ``grad``, which it overwrites."""
+    grad *= -lam
+    grad += C
+    return grad
+
+
 def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
                        cfg: SolverConfig) -> AlignmentResult:
     """Minimize ``<plan, C> - lam * MI(plan)`` over couplings of ``p, q``.
@@ -176,9 +201,10 @@ def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     init = None
     _, gradient = _mi_and_gradient(model, g)
     for _ in range(cfg.outer_iters):
-        cost = C - cfg.lam * gradient()
-        del gradient  # the joint and its ratio need not live through the solve
-        coupling, rep = sinkhorn(cost, p, q, cfg.eps, max_iter=cfg.inner_max_iter,
+        # No local keeps the step's cost, so on CPython >= 3.11, where a
+        # callee owns a temporary argument, sinkhorn frees it once S is built.
+        coupling, rep = sinkhorn(_step_cost(gradient(), C, cfg.lam), p, q,
+                                 cfg.eps, max_iter=cfg.inner_max_iter,
                                  tol=cfg.inner_tol, init=init)
         init = rep.potential_target
         inner_iters.append(rep.iterations)

@@ -194,6 +194,8 @@ def test_exit_1_without_out_dir(tmp_path, capsys):
     pytest.param("--lambda", "inf", "lam must be nonnegative", id="lambda-inf"),
     pytest.param("--bandwidth", "inf", "bandwidth must be positive",
                  id="bandwidth-inf"),
+    pytest.param("--seed", "-1", "seed must be at least 0, got -1",
+                 id="seed-negative"),
 ])
 def test_exit_1_on_nan_override(tmp_path, capsys, flag, value, message):
     spec = _write_spec(tmp_path, _spec_data())

@@ -3,6 +3,7 @@
 import json
 import threading
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from infoot import (EvalReport, ExperimentSpec, GeneratorConfig, PointSet,
                     version_stamp)
 from infoot._version import __version__
 from infoot.kernels import _euclidean
+from infoot.pipelines import _best_pairing
 
 FAST = dict(outer_iters=20, inner_max_iter=2000, inner_tol=1e-8)
 
@@ -119,6 +121,8 @@ def test_stratified_holdout_guards():
         stratified_holdout(np.array([0]), fraction=0.5)
     with pytest.raises(ValueError):
         stratified_holdout(np.array([0, 1]), fraction=0.0)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        stratified_holdout(np.array([0, 0, 1, 1]), 0.5, seed=-1)
     # singleton classes never land in the test side
     train, test = stratified_holdout(np.array([0, 0, 0, 0, 1]), 0.2, 0)
     assert 4 in train
@@ -164,6 +168,42 @@ def test_cluster_coherence_is_one_without_off_pairing_mass():
     plan /= plan.sum()
     plan[~paired] = 1e-90
     assert cluster_coherence(plan, source_ids, target_ids) == 1.0
+
+
+def _coherence_by_enumeration(plan):
+    """Coherence of a plan with one sample per cluster, from the best of
+    all k! pairings."""
+    k = plan.shape[0]
+    best = max(permutations(range(k)),
+               key=lambda perm: plan[range(k), perm].sum())
+    off = np.ones((k, k), dtype=bool)
+    off[range(k), best] = False
+    return float(1.0 - plan[off].sum() / plan.sum())
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_cluster_coherence_matches_enumeration(k):
+    rng = np.random.default_rng(k)
+    ids = np.arange(k)
+    for _ in range(20):
+        plan = rng.random((k, k)) ** 4
+        plan /= plan.sum()
+        assert (cluster_coherence(plan, ids, ids)
+                == _coherence_by_enumeration(plan))
+    # Every pairing ties here, and every one gives the same score.
+    flat = np.full((k, k), 1.0 / k**2)
+    assert cluster_coherence(flat, ids, ids) == _coherence_by_enumeration(flat)
+
+
+def test_best_pairing_matches_scipy_assignment():
+    linear_sum_assignment = pytest.importorskip(
+        "scipy.optimize").linear_sum_assignment
+    rng = np.random.default_rng(0)
+    for k in [*range(1, 12), 20, 31]:
+        for _ in range(5):
+            mass = rng.random((k, k)) ** 3
+            _, cols = linear_sum_assignment(mass, maximize=True)
+            np.testing.assert_array_equal(_best_pairing(mass), cols)
 
 
 def test_precision_at_k_hand_counted():

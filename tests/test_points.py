@@ -72,6 +72,9 @@ def test_pointset_weights_follow_the_marginal_rule():
             check(np.array([0.0, 0.5, 0.5]))
         with pytest.raises(ValueError, match="sum to 1"):
             check(np.array([0.25, 0.25, 0.5 + 5e-11]))
+        # The sum prints as a plain float, not as NumPy's scalar repr.
+        with pytest.raises(ValueError, match=r"sum to 1, got 1\.1$"):
+            check(np.array([0.25, 0.25, 0.6]))
     for ps in (PointSet(pts), PointSet(pts, weights=[0.25, 0.25, 0.5])):
         np.testing.assert_array_equal(check_marginal(ps.weights), ps.weights)
 

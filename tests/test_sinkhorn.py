@@ -125,7 +125,9 @@ def test_sinkhorn_leaves_caller_arrays_writable():
     q = np.array([0.5, 0.5])
     coupling, _ = sinkhorn(C, p, q, eps=1.0)
     assert C.flags.writeable and p.flags.writeable and q.flags.writeable
+    np.testing.assert_array_equal(C, [[0.0, 1.0], [1.0, 0.0]])
     assert not coupling.row_marginal.flags.writeable
+    assert not coupling.values.flags.writeable
     p[0] = 0.0  # the coupling holds its own copy
     assert coupling.row_marginal[0] == 0.4
 
@@ -273,8 +275,10 @@ def test_coupling_matrix_invariants():
     CouplingMatrix(good, p, q)
     with pytest.raises(ValueError):
         CouplingMatrix(-good, p, q)
-    with pytest.raises(ValueError):
-        CouplingMatrix(good * 2.0, p, q)  # mass 2
+    with pytest.raises(ValueError, match=r"^plan mass must be 1, got 2\.0$"):
+        CouplingMatrix(good * 2.0, p, q)
+    with pytest.raises(ValueError, match=r"^plan mass must be 1, got 1\.1$"):
+        CouplingMatrix(np.array([[0.3, 0.3], [0.2, 0.3]]), p, q)
     skew = np.array([[0.5, 0.0], [0.25, 0.25]])
     with pytest.raises(ValueError):
         CouplingMatrix(skew, p, q)  # infeasible rows

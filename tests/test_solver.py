@@ -7,13 +7,15 @@ central differences at step 1e-6.
 """
 
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infoot import (PointSet, SolverConfig, build_kde_model,
+from infoot import (GeneratorConfig, PointSet, SolverConfig, build_kde_model,
                     circular_validation, cluster_coherence, entropy,
                     fit_alignment, gen_clusters, load_spec, mi_gradient,
                     mutual_information, pairwise_distances, sinkhorn,
@@ -412,13 +414,18 @@ def test_fit_equals_a_replay_through_the_public_mi_functions():
     rng = np.random.default_rng(29)
     xs = PointSet(rng.normal(size=(9, 2)))
     ys = PointSet(rng.normal(size=(7, 2)))
-    C = pairwise_distances(xs, ys).values
+    # A writable cross cost, so that a write into it would go through.
+    C = pairwise_distances(xs, ys).values.copy()
     dx = pairwise_distances(xs, xs)
     dy = pairwise_distances(ys, ys)
     p, q = uniform_weights(9), uniform_weights(7)
     cfg = SolverConfig(lam=10.0, eps=0.5, bandwidth=0.4, outer_iters=12)
+    C_before = C.copy()
     res = solve_fused_infoot(C, dx, dy, p, q, cfg)
     assert res.iterations > 1
+    # Each step's cost is built in a buffer of the solver's own, never in C.
+    assert C.flags.writeable
+    np.testing.assert_array_equal(C, C_before)
     model = build_kde_model(dx, dy, cfg.bandwidth)
     g, init = np.outer(p, q), None
     mi_trace, objective_trace = [], []
@@ -445,3 +452,31 @@ def test_solver_rejects_bad_cross_cost():
     with pytest.raises(ValueError):
         solve_fused_infoot(np.zeros((2, 3)), dx, dy, p, q,
                            SolverConfig(bandwidth=0.5))
+
+
+@pytest.mark.parametrize("h", [0.5, 0.2])
+def test_fit_peak_memory_in_square_arrays(h):
+    # A Newton step reads and writes six n x n arrays (two Grams, dx, dy,
+    # the cross cost, the previous plan) and holds five of its own at its
+    # peak: S, K, the Newton plan and two step buffers. The step's cost is
+    # freed once S is built; before Python 3.11 the caller's stack keeps
+    # that temporary alive through the solve, one array more.
+    budget = 11.6 if sys.version_info >= (3, 11) else 12.6
+    # A first fit pays for lazy imports and first-call caches.
+    warm = gen_clusters(GeneratorConfig(sizes=(5, 5), seed=1, rotation=0.6))
+    fit_alignment(warm.source, warm.target, SolverConfig(bandwidth=h))
+    n = 200
+    data = gen_clusters(GeneratorConfig(sizes=(n // 2, n // 2), seed=0,
+                                        rotation=0.6))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fit_alignment(data.source, data.target, SolverConfig(bandwidth=h))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (n * n * 8) <= budget
