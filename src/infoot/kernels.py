@@ -86,9 +86,29 @@ def _real(name: str, value, sign: str | None = None) -> float:
     return x
 
 
-def _plan_values(plan) -> np.ndarray:
-    """The float array behind a plan or score matrix, or behind ``plan`` itself."""
-    return np.asarray(getattr(plan, "values", plan), dtype=float)
+def _finite(name: str, a, sign: str | None = None) -> np.ndarray:
+    """``a`` as a float array of finite entries, also ``>= 0`` when ``sign``
+    is ``"nonnegative"``; otherwise a ValueError that names it. Two
+    reductions and no boolean temporary: NaN fails both comparisons."""
+    a = np.asarray(a, dtype=float)
+    if a.size and not ((a.min() >= 0 if sign else a.min() > -np.inf)
+                       and a.max() < np.inf):
+        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}")
+    return a
+
+
+def _plan_values(plan, name: str = "plan",
+                 sign: str | None = "nonnegative") -> np.ndarray:
+    """The values of a :class:`CouplingMatrix` or :class:`ScoreMatrix`, checked
+    when built, or ``plan`` as a 2-d array that :func:`_finite` passes."""
+    from .projection import ScoreMatrix
+    from .sinkhorn import CouplingMatrix
+    if isinstance(plan, (CouplingMatrix, ScoreMatrix)):
+        return plan.values
+    g = np.asarray(plan, dtype=float)
+    if g.ndim != 2:
+        raise ValueError(f"{name} must be 2-d, got shape {g.shape}")
+    return _finite(name, g, sign)
 
 
 def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,10 +149,7 @@ class DistanceMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError(f"distance matrix must be 2-d, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("distance matrix contains non-finite entries")
-        if np.any(vals < 0):
-            raise ValueError("distance matrix contains negative entries")
+        _finite("distance matrix", vals, "nonnegative")
         object.__setattr__(self, "values", _readonly(vals))
 
     @cached_property

@@ -322,14 +322,11 @@ def precision_at_k(scores, query_labels, target_labels,
     the K-th score run past the block are sorted whole. Scores must be
     finite and each ``k`` an integer.
     """
-    vals = _plan_values(scores)
+    vals = _plan_values(scores, "scores", None)
     query_labels = np.asarray(query_labels)
     target_labels = np.asarray(target_labels)
-    if vals.ndim != 2 or vals.shape != (query_labels.size, target_labels.size):
+    if vals.shape != (query_labels.size, target_labels.size):
         raise ValueError("scores must be (n_queries, n_targets)")
-    # Two reductions, no boolean temporary: a NaN fails both comparisons.
-    if vals.size and not (vals.min() > -np.inf and vals.max() < np.inf):
-        raise ValueError("scores must be finite")
     q, m = vals.shape
     ks = [_integer("k", k) for k in ks]
     for k in ks:

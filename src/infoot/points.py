@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _readonly
+from .kernels import _finite, _readonly
 
 __all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights",
            "check_marginal"]
@@ -65,9 +65,7 @@ class PointSet:
         n, d = pts.shape
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite entries")
-        object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "points", _readonly(_finite("points", pts)))
 
         if self.labels is not None:
             labels = np.asarray(self.labels)

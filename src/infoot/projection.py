@@ -27,8 +27,8 @@ import numpy as np
 
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
-from .kernels import (KdeModel, _euclidean, _floored_ratio, _plan_values,
-                      _real, _squared_kernel)
+from .kernels import (KdeModel, _euclidean, _finite, _floored_ratio,
+                      _plan_values, _real, _squared_kernel)
 from .points import PointSet
 
 __all__ = [
@@ -75,10 +75,7 @@ class ScoreMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("score matrix must be 2-d")
-        # Two reductions, no boolean temporaries: a NaN fails both
-        # comparisons, and -inf fails the first.
-        if vals.size and not (vals.min() >= 0 and vals.max() < np.inf):
-            raise ValueError("scores must be finite and nonnegative")
+        _finite("scores", vals, "nonnegative")
         dev = np.max(np.abs(vals.sum(axis=1) - 1.0))
         if dev > _ROW_SUM_TOL:
             raise ValueError(f"score rows must sum to 1, max dev {dev:.3e}")
@@ -145,9 +142,7 @@ def _distance_rows(model: KdeModel, queries,
     if source_points.n != model.n:
         raise ValueError(f"source_points has {source_points.n} rows, model "
                          f"expects {model.n}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query coordinates must be finite")
-    return _euclidean(x, source_points.points)
+    return _euclidean(_finite("query coordinates", x), source_points.points)
 
 
 def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
@@ -201,8 +196,7 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
         d = np.asarray(query_distances, dtype=float)
         if d.shape != (model.n,):
             raise ValueError(f"query distances must have shape ({model.n},)")
-        if not np.all(np.isfinite(d) & (d >= 0)):
-            raise ValueError("query distances must be finite and nonnegative")
+        _finite("query distances", d, "nonnegative")
     return _weights(model, g, h, d.reshape(1, -1), normalize)[0]
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _integer, _plan_values, _readonly, _real
+from .kernels import _finite, _integer, _plan_values, _readonly, _real
 from .points import check_marginal
 
 __all__ = [
@@ -117,8 +117,7 @@ class CouplingMatrix:
         if vals.shape != (p.size, q.size):
             raise ValueError(f"plan shape {vals.shape} does not match marginals "
                              f"({p.size}, {q.size})")
-        if not np.all(vals >= 0):
-            raise ValueError("plan entries must be nonnegative")
+        _finite("plan entries", vals, "nonnegative")
         if not abs(vals.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"plan mass must be 1, got {float(vals.sum())}")
         if self.strict:
@@ -284,8 +283,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     C = np.ascontiguousarray(C, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"cost matrix must be 2-d, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cost matrix contains non-finite entries")
+    _finite("cost matrix", C)
     eps = _real("eps", eps, "positive")
     max_iter = _integer("max_iter", max_iter, 1)
     tol = _real("tol", tol, "positive")
@@ -300,9 +298,7 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         if init.shape != q.shape:
             raise ValueError(f"init shape {init.shape} does not match the col "
                              f"marginal ({q.size},)")
-        if not np.all(np.isfinite(init)):
-            raise ValueError("init contains non-finite entries")
-        init = init / eps
+        init = _finite("init", init) / eps
 
     S = C / -eps
     # A cost passed as a temporary dies here, before the kernel is built

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import (DistanceMatrix, KdeModel, _floored_ratio, _integer,
-                      _plan_values, _real, build_kde_model)
+from .kernels import (DistanceMatrix, KdeModel, _finite, _floored_ratio,
+                      _integer, _plan_values, _real, build_kde_model)
 from .points import check_marginal
 from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
 
@@ -183,9 +183,7 @@ def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     start = time.perf_counter()
     p = check_marginal(p, "row marginal")
     q = check_marginal(q, "col marginal")
-    C = np.asarray(C, dtype=float)
-    if not np.all(np.isfinite(C)):
-        raise ValueError("cross cost contains non-finite entries")
+    C = _finite("cross cost", C)
     model = build_kde_model(dx, dy, cfg.bandwidth)
     if C.shape != (model.n, model.m):
         raise ValueError(f"cross cost shape {C.shape} does not match domains "
