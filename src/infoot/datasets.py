@@ -79,7 +79,6 @@ class ClusterSample:
 
     source: PointSet
     target: PointSet
-    centers: np.ndarray
     data_sigma: float
 
     @property
@@ -145,7 +144,6 @@ def gen_clusters(cfg: GeneratorConfig) -> ClusterSample:
     return ClusterSample(
         source=PointSet(src, labels=src_ids),
         target=PointSet(tgt, labels=tgt_ids),
-        centers=centers,
         data_sigma=data_sigma,
     )
 

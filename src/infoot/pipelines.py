@@ -229,12 +229,20 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
     return train, test
 
 
+def _vector(name: str, v, n: int) -> np.ndarray:
+    """``v`` as an array of shape ``(n,)``; otherwise a ValueError naming it."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
 def nn_classify(train_points, train_labels, query_points) -> np.ndarray:
     """1-nearest-neighbour labels; ties go to the lowest training index."""
     train = np.atleast_2d(np.asarray(train_points, dtype=float))
     queries = np.atleast_2d(np.asarray(query_points, dtype=float))
     d = _euclidean(queries, train)
-    return np.asarray(train_labels)[d.argmin(axis=1)]
+    return _vector("train_labels", train_labels, train.shape[0])[d.argmin(axis=1)]
 
 
 def _best_pairing(mass: np.ndarray) -> np.ndarray:
@@ -286,8 +294,8 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
     never be coherent, so heavy outlier attraction lowers the score.
     """
     g = _plan_values(plan)
-    source_ids = np.asarray(source_ids)
-    target_ids = np.asarray(target_ids)
+    source_ids = _vector("source_ids", source_ids, g.shape[0])
+    target_ids = _vector("target_ids", target_ids, g.shape[1])
     src_classes = np.unique(source_ids[source_ids >= 0])
     tgt_classes = np.unique(target_ids[target_ids >= 0])
     if src_classes.size != tgt_classes.size:
@@ -351,6 +359,7 @@ def precision_at_k(scores, query_labels, target_labels,
 
 def outlier_hits(projected, outliers, radius: float) -> int:
     """Count projections that land within ``radius`` of any outlier."""
+    radius = _real("radius", radius, "nonnegative")
     projected = np.atleast_2d(np.asarray(projected, dtype=float))
     outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
     if outliers.size == 0:

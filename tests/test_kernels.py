@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from infoot import (DistanceMatrix, KdeModel, PointSet, build_kde_model,
-                    estimate_scale, gaussian_kernel, importance_scores,
-                    load_distance_csv, mi_gradient, mutual_information,
-                    pairwise_distances)
-from infoot.kernels import _euclidean, _real
+from infoot import (CouplingMatrix, DistanceMatrix, KdeModel, PointSet,
+                    ScoreMatrix, SolverConfig, barycentric_project,
+                    build_kde_model, cluster_coherence, conditional_project,
+                    entropy, estimate_scale, gaussian_kernel,
+                    importance_scores, importance_weights, load_distance_csv,
+                    mi_gradient, mutual_information, pairwise_distances,
+                    precision_at_k, sinkhorn, solve_fused_infoot,
+                    uniform_weights)
+from infoot.kernels import _euclidean, _finite, _plan_values, _real
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -169,6 +173,106 @@ def test_real_setting_rule():
             _real("h", bad, sign)
     with pytest.raises(ValueError, match="^h must be positive and finite"):
         _real("h", math.inf, "positive")
+
+
+def test_finite_array_rule():
+    # A float64 array comes back as itself; others as a float array.
+    a = np.array([[0.0, -1.5], [2.0, 3.0]])
+    assert _finite("a", a) is a
+    assert _finite("a", [[1, 2]]).dtype == float
+    assert _finite("a", np.array([-0.0, 0.0]), "nonnegative").shape == (2,)
+    assert _finite("a", np.empty((0, 3)), "nonnegative").shape == (0, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^a must be finite$"):
+            _finite("a", [[0.0, bad]])
+    for bad in (math.nan, math.inf, -math.inf, -1e-300):
+        with pytest.raises(ValueError,
+                           match="^a must be finite and nonnegative$"):
+            _finite("a", [[0.0, bad]], "nonnegative")
+
+
+def test_plan_values_trust_checked_matrices_only():
+    p, q = uniform_weights(3), uniform_weights(2)
+    coupling = CouplingMatrix(np.outer(p, q), p, q)
+    scores = ScoreMatrix(np.full((2, 2), 0.5))
+    assert _plan_values(coupling) is coupling.values
+    assert _plan_values(scores) is scores.values
+    assert np.array_equal(_plan_values(PLAN.tolist()), PLAN)
+    with pytest.raises(ValueError, match=r"^plan must be 2-d, got shape \(6,\)"):
+        mutual_information(_model(), PLAN.ravel())
+
+
+def _entry(a, value, at=(0, 1)):
+    """A float copy of ``a`` with ``value`` at index ``at``."""
+    a = np.array(a, dtype=float)
+    a[at] = value
+    return a
+
+
+def _model():
+    return build_kde_model(pairwise_distances(X, X),
+                           pairwise_distances(Y, Y), H)
+
+
+P3, Q2 = uniform_weights(3), uniform_weights(2)
+_PLAN_USERS = {
+    "mutual_information": lambda g: mutual_information(_model(), g),
+    "mi_gradient": lambda g: mi_gradient(_model(), g),
+    "entropy": entropy,
+    "barycentric_project": lambda g: barycentric_project(g, Y),
+    "importance_weights": lambda g: importance_weights(_model(), g, 0, Y),
+    "importance_scores": lambda g: importance_scores(_model(), g, None, Y),
+    "conditional_project": lambda g: conditional_project(_model(), g, None, Y),
+    "cluster_coherence": lambda g: cluster_coherence(g, [0, 1, 1], [0, 1]),
+}
+_ARRAY_SITES = [
+    ("DistanceMatrix-nan", lambda: DistanceMatrix(_entry(np.zeros((2, 2)),
+                                                         np.nan)),
+     "distance matrix must be finite and nonnegative"),
+    ("DistanceMatrix-negative",
+     lambda: DistanceMatrix(_entry(np.zeros((2, 2)), -1.0)),
+     "distance matrix must be finite and nonnegative"),
+    ("PointSet", lambda: PointSet(_entry(X.points, np.nan)),
+     "points must be finite"),
+    ("CouplingMatrix", lambda: CouplingMatrix(_entry(PLAN, -0.01), P3, Q2,
+                                              strict=False),
+     "plan entries must be finite and nonnegative"),
+    ("sinkhorn-cost", lambda: sinkhorn(_entry(np.zeros((3, 2)), np.nan),
+                                       P3, Q2, 1.0),
+     "cost matrix must be finite"),
+    ("sinkhorn-init", lambda: sinkhorn(np.zeros((3, 2)), P3, Q2, 1.0,
+                                       init=[0.0, np.nan]),
+     "init must be finite"),
+    ("solve_fused_infoot", lambda: solve_fused_infoot(
+        _entry(np.zeros((3, 2)), np.nan), pairwise_distances(X, X),
+        pairwise_distances(Y, Y), P3, Q2, SolverConfig()),
+     "cross cost must be finite"),
+    ("ScoreMatrix", lambda: ScoreMatrix([[1.5, -0.5]]),
+     "scores must be finite and nonnegative"),
+    ("precision_at_k", lambda: precision_at_k(
+        _entry(np.eye(2), np.nan), [0, 1], [0, 1], ks=(1,)),
+     "scores must be finite"),
+    ("query-coordinates", lambda: importance_scores(
+        _model(), PLAN, [[np.nan, 0.0]], Y, source_points=X),
+     "query coordinates must be finite"),
+    ("query_distances", lambda: importance_weights(
+        _model(), PLAN, [0.1, 0.2], Y, query_distances=[np.nan, 1.0, 2.0]),
+     "query distances must be finite and nonnegative"),
+] + [
+    (f"{name}-{kind}", lambda use=use, bad=bad: use(_entry(PLAN, bad)),
+     "plan must be finite and nonnegative")
+    for name, use in _PLAN_USERS.items()
+    for kind, bad in (("nan", np.nan), ("negative", -0.01))
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in _ARRAY_SITES],
+                         ids=[case[0] for case in _ARRAY_SITES])
+def test_array_rule_names_the_input(call, message):
+    # A NaN, or a negative entry where the rule is nonnegative, is a
+    # ValueError that names the array, the same words at every entry point.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("h, sigma", [(math.inf, 1.0), (0.5, math.inf),

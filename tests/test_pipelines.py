@@ -138,6 +138,22 @@ def test_nn_classify_tie_breaks_low_index():
     np.testing.assert_array_equal(pred, [9, 7])
 
 
+def test_evaluation_helpers_check_vector_lengths():
+    # One label per training point, one id per plan row and per column:
+    # a short vector is a ValueError that names it, not a silent label or
+    # NumPy's boolean-index error.
+    with pytest.raises(ValueError,
+                       match=r"^train_labels must have shape \(3,\), got \(2,\)$"):
+        nn_classify(np.zeros((3, 2)), [0, 1], np.zeros((1, 2)))
+    plan = np.full((4, 3), 1.0 / 12)
+    with pytest.raises(ValueError,
+                       match=r"^source_ids must have shape \(4,\), got \(3,\)$"):
+        cluster_coherence(plan, [0, 1, 2], [0, 1, 2])
+    with pytest.raises(ValueError,
+                       match=r"^target_ids must have shape \(3,\), got \(4,\)$"):
+        cluster_coherence(plan, [0, 1, 2, 2], [0, 1, 2, 2])
+
+
 def test_cluster_coherence_hand_computed():
     # two source clusters, two target clusters, mass laid out by hand
     source_ids = np.array([0, 0, 1])
@@ -298,6 +314,10 @@ def test_outlier_hits_counts_within_radius():
     assert outlier_hits(projected, outliers, radius=0.5) == 1
     assert outlier_hits(projected, outliers, radius=20.0) == 3
     assert outlier_hits(projected, np.empty((0, 2)), radius=1.0) == 0
+    assert outlier_hits(projected, outliers, radius=0.0) == 0
+    for bad in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="^radius must be nonnegative"):
+            outlier_hits(projected, outliers, bad)
 
 
 def test_solve_pipeline_produces_report():
