@@ -101,7 +101,7 @@ def _plan_values(plan, name: str = "plan",
                  sign: str | None = "nonnegative") -> np.ndarray:
     """The values of a :class:`CouplingMatrix` or :class:`ScoreMatrix`, checked
     when built, or ``plan`` as a 2-d array that :func:`_finite` passes."""
-    from .projection import ScoreMatrix
+    from .projection import ScoreMatrix  # both modules import this one
     from .sinkhorn import CouplingMatrix
     if isinstance(plan, (CouplingMatrix, ScoreMatrix)):
         return plan.values
