@@ -97,6 +97,14 @@ def _finite(name: str, a, sign: str | None = None) -> np.ndarray:
     return a
 
 
+def _vector(name: str, v, n: int) -> np.ndarray:
+    """``v`` as an array of shape ``(n,)``; otherwise a ValueError naming it."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    return v
+
+
 def _plan_values(plan, name: str = "plan",
                  sign: str | None = "nonnegative") -> np.ndarray:
     """The values of a :class:`CouplingMatrix` or :class:`ScoreMatrix`, checked

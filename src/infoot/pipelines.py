@@ -25,7 +25,7 @@ from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        _class_penalized, class_conditional_cost, gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, _euclidean, _integer,
-                      _plan_values, _real, pairwise_distances)
+                      _plan_values, _real, _vector, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -227,14 +227,6 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
     test = np.sort(np.concatenate(test_parts))
     train = np.setdiff1d(np.arange(labels.size), test)
     return train, test
-
-
-def _vector(name: str, v, n: int) -> np.ndarray:
-    """``v`` as an array of shape ``(n,)``; otherwise a ValueError naming it."""
-    v = np.asarray(v)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    return v
 
 
 def nn_classify(train_points, train_labels, query_points) -> np.ndarray:

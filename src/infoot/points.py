@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _finite, _readonly
+from .kernels import _finite, _readonly, _vector
 
 __all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights",
            "check_marginal"]
@@ -68,9 +68,7 @@ class PointSet:
         object.__setattr__(self, "points", _readonly(_finite("points", pts)))
 
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.shape != (n,):
-                raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
+            labels = _vector("labels", self.labels, n)
             if not np.issubdtype(labels.dtype, np.integer):
                 # Whole floats such as 2.0 are ids; 1.7, NaN and inf are not.
                 labels = np.asarray(labels, dtype=float)
@@ -84,10 +82,7 @@ class PointSet:
         if self.weights is None:
             w = uniform_weights(n)
         else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (n,):
-                raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-            check_marginal(w, "weights")
+            w = check_marginal(_vector("weights", self.weights, n), "weights")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property
