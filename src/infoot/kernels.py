@@ -97,12 +97,17 @@ def _finite(name: str, a, sign: str | None = None) -> np.ndarray:
     return a
 
 
-def _vector(name: str, v, n: int) -> np.ndarray:
-    """``v`` as an array of shape ``(n,)``; otherwise a ValueError naming it."""
-    v = np.asarray(v)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    return v
+def _shaped(name: str, a, shape: tuple) -> np.ndarray:
+    """``a`` as an array with one axis per entry of ``shape`` and the
+    lengths it gives, where ``None`` admits any length; otherwise a
+    ValueError that names it, the shape it must have and the shape it has."""
+    a = np.asarray(a)
+    if a.ndim != len(shape):
+        raise ValueError(f"{name} must be {len(shape)}-d, got shape {a.shape}")
+    want = tuple(n if s is None else s for s, n in zip(shape, a.shape))
+    if want != a.shape:
+        raise ValueError(f"{name} must have shape {want}, got {a.shape}")
+    return a
 
 
 def _plan_values(plan, name: str = "plan",
@@ -113,10 +118,7 @@ def _plan_values(plan, name: str = "plan",
     from .sinkhorn import CouplingMatrix
     if isinstance(plan, (CouplingMatrix, ScoreMatrix)):
         return plan.values
-    g = np.asarray(plan, dtype=float)
-    if g.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {g.shape}")
-    return _finite(name, g, sign)
+    return _finite(name, _shaped(name, plan, (None, None)), sign)
 
 
 def _euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,10 +156,8 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError(f"distance matrix must be 2-d, got shape {vals.shape}")
-        _finite("distance matrix", vals, "nonnegative")
+        vals = _finite("distance matrix", _shaped(
+            "distance matrix", self.values, (None, None)), "nonnegative")
         object.__setattr__(self, "values", _readonly(vals))
 
     @cached_property
@@ -245,9 +245,7 @@ class KdeModel:
         memo = self._factor
         if memo is not None and memo[0] == h and g is memo[1]:
             return memo[2], memo[3]
-        if g.shape != (self.n, self.m):
-            raise ValueError(f"plan shape {g.shape} does not match model "
-                             f"({self.n}, {self.m})")
+        g = _shaped("plan", g, (self.n, self.m))
         ky = self.gram_y if h == self.bandwidth \
             else gaussian_kernel(self.dist_y.values, h, self.dist_y.scale)
         w, row_sums = g @ ky.T, ky.sum(axis=1)

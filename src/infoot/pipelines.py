@@ -24,8 +24,8 @@ from ._parallel import parallel_map  # noqa: F401
 from ._version import __version__
 from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
                        _class_penalized, class_conditional_cost, gen_clusters)
-from .kernels import (DistanceMatrix, KdeModel, _euclidean, _integer,
-                      _plan_values, _real, _vector, pairwise_distances)
+from .kernels import (DistanceMatrix, KdeModel, _euclidean, _finite, _integer,
+                      _plan_values, _real, _shaped, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -205,8 +205,8 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
     side, at least one when it has two or more members. Both index arrays
     come back sorted, so downstream order does not depend on the draw.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size < 2:
+    labels = _shaped("labels", labels, (None,))
+    if labels.size < 2:
         raise ValueError("need a 1-d label vector with at least two samples")
     if not 0 < fraction < 1:
         raise ValueError("holdout fraction must lie in (0, 1)")
@@ -231,10 +231,10 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
 
 def nn_classify(train_points, train_labels, query_points) -> np.ndarray:
     """1-nearest-neighbour labels; ties go to the lowest training index."""
-    train = np.atleast_2d(np.asarray(train_points, dtype=float))
-    queries = np.atleast_2d(np.asarray(query_points, dtype=float))
+    train = np.atleast_2d(_finite("train_points", train_points))
+    queries = np.atleast_2d(_finite("query_points", query_points))
     d = _euclidean(queries, train)
-    return _vector("train_labels", train_labels, train.shape[0])[d.argmin(axis=1)]
+    return _shaped("train_labels", train_labels, (train.shape[0],))[d.argmin(axis=1)]
 
 
 def _best_pairing(mass: np.ndarray) -> np.ndarray:
@@ -286,8 +286,8 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
     never be coherent, so heavy outlier attraction lowers the score.
     """
     g = _plan_values(plan)
-    source_ids = _vector("source_ids", source_ids, g.shape[0])
-    target_ids = _vector("target_ids", target_ids, g.shape[1])
+    source_ids = _shaped("source_ids", source_ids, (g.shape[0],))
+    target_ids = _shaped("target_ids", target_ids, (g.shape[1],))
     src_classes = np.unique(source_ids[source_ids >= 0])
     tgt_classes = np.unique(target_ids[target_ids >= 0])
     if src_classes.size != tgt_classes.size:
@@ -323,11 +323,9 @@ def precision_at_k(scores, query_labels, target_labels,
     finite and each ``k`` an integer.
     """
     vals = _plan_values(scores, "scores", None)
-    query_labels = np.asarray(query_labels)
-    target_labels = np.asarray(target_labels)
-    if vals.shape != (query_labels.size, target_labels.size):
-        raise ValueError("scores must be (n_queries, n_targets)")
     q, m = vals.shape
+    query_labels = _shaped("query_labels", query_labels, (q,))
+    target_labels = _shaped("target_labels", target_labels, (m,))
     ks = [_integer("k", k) for k in ks]
     for k in ks:
         if not 1 <= k <= m:
@@ -352,8 +350,8 @@ def precision_at_k(scores, query_labels, target_labels,
 def outlier_hits(projected, outliers, radius: float) -> int:
     """Count projections that land within ``radius`` of any outlier."""
     radius = _real("radius", radius, "nonnegative")
-    projected = np.atleast_2d(np.asarray(projected, dtype=float))
-    outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
+    projected = np.atleast_2d(_finite("projected", projected))
+    outliers = np.atleast_2d(_finite("outliers", outliers))
     if outliers.size == 0:
         return 0
     d = _euclidean(projected, outliers)

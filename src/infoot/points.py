@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _finite, _readonly, _vector
+from .kernels import _finite, _readonly, _shaped
 
 __all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights",
            "check_marginal"]
@@ -30,8 +30,8 @@ def uniform_weights(n: int) -> np.ndarray:
 
 def check_marginal(w, name: str = "marginal") -> np.ndarray:
     """Validate a strictly positive histogram summing to one."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 1:
+    w = _shaped(name, np.asarray(w, dtype=float), (None,))
+    if w.size < 1:
         raise ValueError(f"{name} must be a nonempty vector")
     if not np.all(w > 0):
         raise ValueError(f"{name} entries must be strictly positive")
@@ -59,16 +59,14 @@ class PointSet:
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-d (n, d), got shape {pts.shape}")
+        pts = _shaped("points", self.points, (None, None))
         n, d = pts.shape
         if n < 1 or d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {pts.shape}")
         object.__setattr__(self, "points", _readonly(_finite("points", pts)))
 
         if self.labels is not None:
-            labels = _vector("labels", self.labels, n)
+            labels = _shaped("labels", self.labels, (n,))
             if not np.issubdtype(labels.dtype, np.integer):
                 # Whole floats such as 2.0 are ids; 1.7, NaN and inf are not.
                 labels = np.asarray(labels, dtype=float)
@@ -82,7 +80,7 @@ class PointSet:
         if self.weights is None:
             w = uniform_weights(n)
         else:
-            w = check_marginal(_vector("weights", self.weights, n), "weights")
+            w = check_marginal(_shaped("weights", self.weights, (n,)), "weights")
         object.__setattr__(self, "weights", _readonly(w))
 
     @property

@@ -28,7 +28,8 @@ import numpy as np
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
 from .kernels import (KdeModel, _euclidean, _finite, _floored_ratio,
-                      _plan_values, _real, _squared_kernel)
+                      _plan_values, _readonly, _real, _shaped,
+                      _squared_kernel)
 from .points import PointSet
 
 __all__ = [
@@ -72,14 +73,12 @@ class ScoreMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2:
-            raise ValueError("score matrix must be 2-d")
-        _finite("scores", vals, "nonnegative")
+        vals = _finite("scores", _shaped("scores", self.values, (None, None)),
+                       "nonnegative")
         dev = np.max(np.abs(vals.sum(axis=1) - 1.0))
         if dev > _ROW_SUM_TOL:
             raise ValueError(f"score rows must sum to 1, max dev {dev:.3e}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _readonly(vals))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -88,9 +87,7 @@ class ScoreMatrix:
 
 def barycentric_project(coupling, targets: PointSet) -> np.ndarray:
     """Map each source sample to the plan-weighted mean of the targets."""
-    g = _plan_values(coupling)
-    if g.shape[1] != targets.n:
-        raise ValueError(f"plan has {g.shape[1]} columns for {targets.n} targets")
+    g = _shaped("plan", _plan_values(coupling), (None, targets.n))
     row_mass = g.sum(axis=1)
     if not np.all(row_mass > 0):
         raise ValueError("plan has a zero-mass row; cannot project it")
@@ -102,8 +99,7 @@ def _checked_plan(model: KdeModel, coupling, targets: PointSet,
     """Plan values and projection bandwidth; the targets are checked
     against the model here, the plan where its factor is formed."""
     g = _plan_values(coupling)
-    if targets.n != model.m:
-        raise ValueError(f"targets have {targets.n} rows, model expects {model.m}")
+    _shaped("targets", targets.points, (model.m, None))
     h = model.bandwidth if h_proj is None \
         else _real("projection bandwidth", h_proj, "positive")
     return g, h
@@ -135,13 +131,9 @@ def _distance_rows(model: KdeModel, queries,
             "out-of-sample query on a domain without coordinates: supply "
             "source_points for the euclidean metric, or query_distances "
             "holding the distances from the query to every training point")
-    x = np.atleast_2d(arr.astype(float))
-    if x.shape[1] != source_points.d:
-        raise ValueError(f"query has {x.shape[1]} features, source has "
-                         f"{source_points.d}")
-    if source_points.n != model.n:
-        raise ValueError(f"source_points has {source_points.n} rows, model "
-                         f"expects {model.n}")
+    x = _shaped("query coordinates", np.atleast_2d(arr.astype(float)),
+                (None, source_points.d))
+    _shaped("source_points", source_points.points, (model.n, None))
     return _euclidean(_finite("query coordinates", x), source_points.points)
 
 
@@ -193,10 +185,8 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
     elif query_distances is None:
         d = _distance_rows(model, query.reshape(1, -1), source_points)
     else:
-        d = np.asarray(query_distances, dtype=float)
-        if d.shape != (model.n,):
-            raise ValueError(f"query distances must have shape ({model.n},)")
-        _finite("query distances", d, "nonnegative")
+        d = _finite("query distances", _shaped(
+            "query distances", query_distances, (model.n,)), "nonnegative")
     return _weights(model, g, h, d.reshape(1, -1), normalize)[0]
 
 

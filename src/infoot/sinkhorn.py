@@ -36,12 +36,12 @@ contract.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _finite, _integer, _plan_values, _readonly, _real
+from .kernels import (_finite, _integer, _plan_values, _readonly, _real,
+                      _shaped)
 from .points import check_marginal
 
 __all__ = [
@@ -114,10 +114,8 @@ class CouplingMatrix:
         its largest deviations ``dev`` from them when given, then store
         read-only copies; with ``own``, ``vals`` is a fresh C-contiguous
         array nobody else holds, stored read-only without a copy."""
-        if vals.shape != (p.size, q.size):
-            raise ValueError(f"plan shape {vals.shape} does not match marginals "
-                             f"({p.size}, {q.size})")
-        _finite("plan entries", vals, "nonnegative")
+        _finite("plan entries", _shaped("plan", vals, (p.size, q.size)),
+                "nonnegative")
         if not abs(vals.sum() - 1.0) <= MASS_TOL:
             raise ValueError(f"plan mass must be 1, got {float(vals.sum())}")
         if self.strict:
@@ -155,7 +153,6 @@ class SinkhornReport:
     converged: bool
     potential_source: np.ndarray
     potential_target: np.ndarray
-    wall_time: float = 0.0
     # Newton steps, already counted in ``iterations``.
     newton_steps: int = 0
 
@@ -279,26 +276,15 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     backtracking find no Newton step that increases the dual (as happens
     once rounding dominates), the rest of the budget goes back to sweeps.
     """
-    start = time.perf_counter()
-    C = np.ascontiguousarray(C, dtype=float)
-    if C.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-d, got shape {C.shape}")
-    _finite("cost matrix", C)
     eps = _real("eps", eps, "positive")
     max_iter = _integer("max_iter", max_iter, 1)
     tol = _real("tol", tol, "positive")
     p = check_marginal(p, "row marginal")
     q = check_marginal(q, "col marginal")
-    if C.shape != (p.size, q.size):
-        raise ValueError(f"cost shape {C.shape} does not match marginals "
-                         f"({p.size}, {q.size})")
-
+    C = np.ascontiguousarray(_finite("cost matrix", _shaped(
+        "cost matrix", C, (p.size, q.size))))
     if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != q.shape:
-            raise ValueError(f"init shape {init.shape} does not match the col "
-                             f"marginal ({q.size},)")
-        init = _finite("init", init) / eps
+        init = _finite("init", _shaped("init", init, (q.size,))) / eps
 
     S = C / -eps
     # A cost passed as a temporary dies here, before the kernel is built
@@ -324,7 +310,6 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
         converged=bool(converged),
         potential_source=eps * np.asarray(a),
         potential_target=eps * np.asarray(b),
-        wall_time=time.perf_counter() - start,
         newton_steps=newton_steps,
     )
     return coupling, report

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _finite, _floored_ratio,
-                      _integer, _plan_values, _real, build_kde_model)
+                      _integer, _plan_values, _real, _shaped,
+                      build_kde_model)
 from .points import check_marginal
 from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
 
@@ -104,9 +105,7 @@ def _mi_and_gradient(model: KdeModel, g: np.ndarray
     joint and the ratio.
     """
     kx, ky = model.gram_x, model.gram_y
-    if g.shape != (model.n, model.m):
-        raise ValueError(f"plan shape {g.shape} does not match model "
-                         f"({model.n}, {model.m})")
+    g = _shaped("plan", g, (model.n, model.m))
     joint, ratio = _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))
     mask = g > 0
     terms = ratio[mask]
@@ -183,11 +182,9 @@ def solve_fused_infoot(C, dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     start = time.perf_counter()
     p = check_marginal(p, "row marginal")
     q = check_marginal(q, "col marginal")
-    C = _finite("cross cost", C)
+    C = _finite("cross cost",
+                _shaped("cross cost", C, (dx.shape[0], dy.shape[0])))
     model = build_kde_model(dx, dy, cfg.bandwidth)
-    if C.shape != (model.n, model.m):
-        raise ValueError(f"cross cost shape {C.shape} does not match domains "
-                         f"({model.n}, {model.m})")
     g = np.outer(p, q)
     objective_trace: list[float] = []
     mi_trace: list[float] = []

@@ -14,13 +14,14 @@ from scipy.spatial.distance import cdist
 
 from infoot import (CouplingMatrix, DistanceMatrix, KdeModel, PointSet,
                     ScoreMatrix, SolverConfig, barycentric_project,
-                    build_kde_model, cluster_coherence, conditional_project,
-                    entropy, estimate_scale, gaussian_kernel,
-                    importance_scores, importance_weights, load_distance_csv,
-                    mi_gradient, mutual_information, pairwise_distances,
-                    precision_at_k, sinkhorn, solve_fused_infoot,
+                    build_kde_model, check_marginal, cluster_coherence,
+                    conditional_project, entropy, estimate_scale,
+                    gaussian_kernel, importance_scores, importance_weights,
+                    load_distance_csv, mi_gradient, mutual_information,
+                    nn_classify, pairwise_distances, precision_at_k,
+                    sinkhorn, solve_fused_infoot, stratified_holdout,
                     uniform_weights)
-from infoot.kernels import _euclidean, _finite, _plan_values, _real
+from infoot.kernels import _euclidean, _finite, _plan_values, _real, _shaped
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -275,6 +276,112 @@ def test_array_rule_names_the_input(call, message):
         call()
 
 
+def test_shape_rule():
+    # The array comes back as itself; None admits any length.
+    a = np.zeros((2, 3))
+    assert _shaped("a", a, (2, 3)) is a
+    assert _shaped("a", a, (None, 3)) is a
+    assert _shaped("a", [1, 2], (None,)).shape == (2,)
+    assert _shaped("a", np.empty((0, 3)), (0, None)).shape == (0, 3)
+    with pytest.raises(ValueError, match=r"^a must be 1-d, got shape \(2, 3\)$"):
+        _shaped("a", a, (None,))
+    with pytest.raises(ValueError, match=r"^a must be 2-d, got shape \(\)$"):
+        _shaped("a", 1.0, (None, None))
+    # The expected shape fills a free axis with the length the array has.
+    with pytest.raises(ValueError,
+                       match=r"^a must have shape \(2, 4\), got \(2, 3\)$"):
+        _shaped("a", a, (None, 4))
+    # The nonempty rule of a marginal stays its own.
+    with pytest.raises(ValueError, match="^marginal must be a nonempty vector$"):
+        check_marginal([])
+
+
+_QS = [[0.4, 0.6], [0.5, 0.5]]
+_SHAPE_SITES = [
+    ("DistanceMatrix", lambda: DistanceMatrix(np.zeros(3)),
+     r"distance matrix must be 2-d, got shape \(3,\)"),
+    ("plan-2d", lambda: entropy(PLAN.ravel()),
+     r"plan must be 2-d, got shape \(6,\)"),
+    ("projection_factor", lambda: _model().projection_factor(PLAN.T, H),
+     r"plan must have shape \(3, 2\), got \(2, 3\)"),
+    ("check_marginal", lambda: check_marginal([[0.5, 0.5]], "weights"),
+     r"weights must be 1-d, got shape \(1, 2\)"),
+    ("PointSet-points", lambda: PointSet([0.0, 1.0]),
+     r"points must be 2-d, got shape \(2,\)"),
+    ("PointSet-labels-length", lambda: PointSet(X.points, labels=[0, 1]),
+     r"labels must have shape \(3,\), got \(2,\)"),
+    ("PointSet-labels-ndim",
+     lambda: PointSet(X.points, labels=[[0], [1], [1]]),
+     r"labels must be 1-d, got shape \(3, 1\)"),
+    ("PointSet-weights", lambda: PointSet(X.points, weights=Q2),
+     r"weights must have shape \(3,\), got \(2,\)"),
+    ("CouplingMatrix", lambda: CouplingMatrix(PLAN.T, P3, Q2),
+     r"plan must have shape \(3, 2\), got \(2, 3\)"),
+    ("sinkhorn-cost-ndim", lambda: sinkhorn(np.zeros(6), P3, Q2, 1.0),
+     r"cost matrix must be 2-d, got shape \(6,\)"),
+    ("sinkhorn-cost-length", lambda: sinkhorn(np.zeros((2, 3)), P3, Q2, 1.0),
+     r"cost matrix must have shape \(3, 2\), got \(2, 3\)"),
+    ("sinkhorn-init", lambda: sinkhorn(np.zeros((3, 2)), P3, Q2, 1.0,
+                                       init=np.zeros(3)),
+     r"init must have shape \(2,\), got \(3,\)"),
+    ("mutual_information", lambda: mutual_information(_model(), PLAN.T),
+     r"plan must have shape \(3, 2\), got \(2, 3\)"),
+    ("solve_fused_infoot", lambda: solve_fused_infoot(
+        np.zeros((2, 3)), pairwise_distances(X, X), pairwise_distances(Y, Y),
+        P3, Q2, SolverConfig()),
+     r"cross cost must have shape \(3, 2\), got \(2, 3\)"),
+    ("ScoreMatrix", lambda: ScoreMatrix([0.5, 0.5]),
+     r"scores must be 2-d, got shape \(2,\)"),
+    ("barycentric_project", lambda: barycentric_project(PLAN, X),
+     r"plan must have shape \(3, 3\), got \(3, 2\)"),
+    ("targets", lambda: importance_scores(_model(), PLAN, None, X),
+     r"targets must have shape \(2, 2\), got \(3, 2\)"),
+    ("query-coordinates", lambda: importance_scores(
+        _model(), PLAN, [[0.1, 0.2, 0.3]], Y, source_points=X),
+     r"query coordinates must have shape \(1, 2\), got \(1, 3\)"),
+    ("source_points", lambda: importance_scores(
+        _model(), PLAN, [[0.1, 0.2]], Y, source_points=Y),
+     r"source_points must have shape \(3, 2\), got \(2, 2\)"),
+    ("query_distances", lambda: importance_weights(
+        _model(), PLAN, [0.1, 0.2], Y, query_distances=[1.0, 2.0]),
+     r"query distances must have shape \(3,\), got \(2,\)"),
+    ("stratified_holdout", lambda: stratified_holdout([[0, 1], [0, 1]]),
+     r"labels must be 1-d, got shape \(2, 2\)"),
+    ("nn_classify", lambda: nn_classify(X.points, [[0], [1], [1]], Y.points),
+     r"train_labels must be 1-d, got shape \(3, 1\)"),
+    ("cluster_coherence-source", lambda: cluster_coherence(
+        PLAN, [[0, 1, 1]], [0, 1]),
+     r"source_ids must be 1-d, got shape \(1, 3\)"),
+    ("cluster_coherence-target", lambda: cluster_coherence(
+        PLAN, [0, 1, 1], [0, 1, 1]),
+     r"target_ids must have shape \(2,\), got \(3,\)"),
+    # Labels of shape (q, 1) or (1, q) have the right size, but broadcast
+    # against each other into wrong precisions.
+    ("precision_at_k-column", lambda: precision_at_k(
+        _QS, [[0], [1]], [0, 1], ks=(1,)),
+     r"query_labels must be 1-d, got shape \(2, 1\)"),
+    ("precision_at_k-row", lambda: precision_at_k(
+        _QS, [[0, 1]], [0, 1], ks=(1,)),
+     r"query_labels must be 1-d, got shape \(1, 2\)"),
+    ("precision_at_k-targets-column", lambda: precision_at_k(
+        _QS, [0, 1], [[0], [1]], ks=(1,)),
+     r"target_labels must be 1-d, got shape \(2, 1\)"),
+    ("precision_at_k-length", lambda: precision_at_k(
+        _QS, [0, 1, 1], [0, 1], ks=(1,)),
+     r"query_labels must have shape \(2,\), got \(3,\)"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in _SHAPE_SITES],
+                         ids=[case[0] for case in _SHAPE_SITES])
+def test_shape_rule_names_the_input(call, message):
+    # A wrong number of axes, or a length that does not match what the
+    # array goes with, is a ValueError that names the array, its expected
+    # shape and the shape it has, the same words at every entry point.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("h, sigma", [(math.inf, 1.0), (0.5, math.inf),
                                       (0.5, 0.0), (True, 1.0)])
 def test_kernel_refuses_a_bad_bandwidth_or_scale(h, sigma):
@@ -373,9 +480,11 @@ def test_joint_density_shape_check():
     model = build_kde_model(pairwise_distances(X, X),
                             pairwise_distances(Y, Y), H)
     for consumer in (mutual_information, mi_gradient):
-        with pytest.raises(ValueError, match="does not match model"):
+        with pytest.raises(ValueError, match=r"^plan must have shape "
+                                             r"\(3, 2\), got \(2, 3\)$"):
             consumer(model, PLAN.T)
-    with pytest.raises(ValueError, match="does not match model"):
+    with pytest.raises(ValueError, match=r"^plan must have shape "
+                                         r"\(3, 2\), got \(2, 3\)$"):
         importance_scores(model, PLAN.T, None, Y)
 
 

@@ -320,6 +320,21 @@ def test_outlier_hits_counts_within_radius():
             outlier_hits(projected, outliers, bad)
 
 
+def test_evaluation_helpers_reject_non_finite_points():
+    # A NaN point loses every distance comparison: unchecked, nn_classify
+    # gives the query the label of a point it does not sit on, and
+    # outlier_hits counts a NaN projection as a miss.
+    train = np.array([[np.nan, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="^train_points must be finite$"):
+        nn_classify(train, [5, 7], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="^query_points must be finite$"):
+        nn_classify([[0.0, 0.0], [1.0, 0.0]], [5, 7], [[np.nan, 0.0]])
+    with pytest.raises(ValueError, match="^projected must be finite$"):
+        outlier_hits([[np.nan, 0.0]], [[0.0, 0.0]], radius=1.0)
+    with pytest.raises(ValueError, match="^outliers must be finite$"):
+        outlier_hits([[0.0, 0.0]], [[np.inf, 0.0]], radius=1.0)
+
+
 def test_solve_pipeline_produces_report():
     spec = spec_from_dict(_spec_dict(solver={"lam": 10.0, "bandwidth": 0.5,
                                              **FAST}))

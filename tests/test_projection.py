@@ -14,7 +14,8 @@ from conftest import run_child
 from infoot import (GeneratorConfig, PointSet, ProjectionRequest, ScoreMatrix,
                     SolverConfig, barycentric_project, build_kde_model,
                     conditional_project, fit_alignment, gen_clusters,
-                    importance_scores, importance_weights, pairwise_distances)
+                    importance_scores, importance_weights, pairwise_distances,
+                    precision_at_k)
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
 Y = PointSet(np.array([[1.0, 1.0], [2.0, 0.0]]))
@@ -170,8 +171,8 @@ def test_out_of_sample_needs_source_info():
 
 
 def test_source_points_must_match_model_size():
-    with pytest.raises(ValueError, match="source_points has 2 rows, model "
-                                         "expects 3"):
+    with pytest.raises(ValueError, match=r"^source_points must have shape "
+                                         r"\(3, 2\), got \(2, 2\)$"):
         importance_scores(_model(), PLAN, np.array([[0.1, 0.2]]), Y,
                           source_points=PointSet(X.points[:2]))
 
@@ -337,6 +338,17 @@ def test_score_matrix_validation():
             ScoreMatrix(np.array([[0.5, bad]]))
     ok = ScoreMatrix(np.array([[0.4, 0.6]]))
     assert ok.shape == (1, 2)
+
+
+def test_score_matrix_keeps_its_own_values():
+    # The checked values are a read-only copy: a later write to the
+    # caller's array cannot reach them, nor a ranking that trusts them.
+    a = np.array([[0.4, 0.6], [0.5, 0.5]])
+    scores = ScoreMatrix(a)
+    a[0, 0] = np.nan
+    assert scores.values[0, 0] == 0.4
+    assert not scores.values.flags.writeable
+    assert precision_at_k(scores, [0, 1], [0, 1], ks=(1,)) == {1: 0.0}
 
 
 def test_projection_stays_in_target_hull():
