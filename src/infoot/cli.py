@@ -26,7 +26,7 @@ from .pipelines import (EvalReport, ExperimentSpec, _report,
                         retrieval_pipeline, solve_pipeline,
                         validate_bandwidth_pipeline)
 from .points import save_points_csv, write_csv
-from .projection import ScoreMatrix
+from .projection import _MODES, ScoreMatrix
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,32 +47,27 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the kernel bandwidth")
     parser.add_argument("--seed", type=int, default=None,
                         help="override generator and solver seeds")
-    parser.add_argument("--mode", choices=("barycentric", "conditional"),
+    parser.add_argument("--mode", choices=_MODES,
                         default=None, help="override the projection mode")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the spec)")
     return parser
 
 
+def _given(**flags) -> dict:
+    """The flags among ``flags`` that were given on the command line."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _apply_overrides(spec: ExperimentSpec,
                      args: argparse.Namespace) -> ExperimentSpec:
-    solver = spec.solver
-    if args.lam is not None:
-        solver = replace(solver, lam=args.lam)
-    if args.epsilon is not None:
-        solver = replace(solver, eps=args.epsilon)
-    if args.bandwidth is not None:
-        solver = replace(solver, bandwidth=args.bandwidth)
-    generator = spec.generator
-    if args.seed is not None:
-        generator = replace(generator, seed=args.seed)
-        solver = replace(solver, seed=args.seed)
-    projection = spec.projection
-    if args.mode is not None:
-        projection = replace(projection, mode=args.mode)
-    out = args.out if args.out is not None else spec.out
-    return replace(spec, generator=generator, solver=solver,
-                   projection=projection, out=out)
+    # The solver goes first, so its flags are checked before a bad --seed.
+    seed = _given(seed=args.seed)
+    solver = replace(spec.solver, **seed, **_given(
+        lam=args.lam, eps=args.epsilon, bandwidth=args.bandwidth))
+    return replace(spec, solver=solver, **_given(out=args.out),
+                   generator=replace(spec.generator, **seed),
+                   projection=replace(spec.projection, **_given(mode=args.mode)))
 
 
 def _write_report(outdir: Path, report: EvalReport) -> None:

@@ -63,6 +63,8 @@ class GeneratorConfig:
             if len(tsizes) != len(sizes):
                 raise ValueError("target_sizes must match the cluster count")
             object.__setattr__(self, "target_sizes", tsizes)
+        if not isinstance(self.identity, bool):
+            raise TypeError(f"identity must be true or false, got {self.identity!r}")
         if self.identity and self.target_sizes is not None \
                 and self.target_sizes != sizes:
             raise ValueError("identity targets copy the source sizes")

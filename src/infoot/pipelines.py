@@ -14,7 +14,7 @@ import functools
 import json
 import subprocess
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,14 +105,21 @@ def _grid(grid) -> tuple[float, ...]:
     return grid
 
 
-def _section(name: str, cls, data: dict, **defaults):
-    """``cls`` built from one spec section; an unknown key or a value of
-    the wrong type is a ValueError that names the section."""
+def _section(name: str, cls, data, **given):
+    """``cls`` built from one spec section over ``given``: data that is not
+    a JSON object, an unknown key, a missing one that no default or ``given``
+    fills, or a value of the wrong type is a ValueError naming the section."""
+    if not isinstance(data, dict):
+        raise ValueError(f"invalid {name} value: expected a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
+    values = given | data
+    for f in fields(cls):
+        if f.name not in values and f.default is f.default_factory is MISSING:
+            raise ValueError(f"{name}.{f.name} is required")
     try:
-        return cls(**(defaults | data))
+        return cls(**values)
     except TypeError as err:
         raise ValueError(f"invalid {name} value: {err}") from None
 
@@ -121,25 +128,13 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build a spec from parsed JSON, rejecting unknown or missing keys."""
     if not isinstance(data, dict):
         raise ValueError("spec root must be a JSON object")
-    for key in ("scenario", "generator"):
-        if key not in data:
-            raise ValueError(f"spec is missing required key {key!r}")
-    for key in ("generator", "solver", "projection"):
-        if not isinstance(data.get(key, {}), dict):
-            raise ValueError(f"invalid {key} value: expected a JSON object")
-    if "seed" not in data["generator"]:
-        raise ValueError("generator.seed is required; every run must be "
-                         "reproducible")
-    if "sizes" not in data["generator"]:
-        raise ValueError("generator.sizes is required")
-    generator = _section("generator", GeneratorConfig, data["generator"])
+    generator = _section("generator", GeneratorConfig, data.get("generator", {}))
+    solver = _section("solver", SolverConfig, data.get("solver", {}),
+                      seed=generator.seed)
+    projection = _section("projection", ProjectionRequest,
+                          data.get("projection", {}))
     return _section("spec", ExperimentSpec, data | {
-        "generator": generator,
-        "solver": _section("solver", SolverConfig, data.get("solver", {}),
-                           seed=generator.seed),
-        "projection": _section("projection", ProjectionRequest,
-                               data.get("projection", {})),
-    })
+        "generator": generator, "solver": solver, "projection": projection})
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -208,7 +203,7 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
     labels = _shaped("labels", labels, (None,))
     if labels.size < 2:
         raise ValueError("need a 1-d label vector with at least two samples")
-    if not 0 < fraction < 1:
+    if not _real("fraction", fraction, "positive") < 1:
         raise ValueError("holdout fraction must lie in (0, 1)")
     rng = np.random.default_rng([_integer("seed", seed, 0), 0x5EED])
     test_parts = []
@@ -232,7 +227,10 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
 def nn_classify(train_points, train_labels, query_points) -> np.ndarray:
     """1-nearest-neighbour labels; ties go to the lowest training index."""
     train = np.atleast_2d(_finite("train_points", train_points))
-    queries = np.atleast_2d(_finite("query_points", query_points))
+    if not train.size:
+        raise ValueError("train_points must be nonempty")
+    queries = _shaped("query_points", np.atleast_2d(
+        _finite("query_points", query_points)), (None, train.shape[1]))
     d = _euclidean(queries, train)
     return _shaped("train_labels", train_labels, (train.shape[0],))[d.argmin(axis=1)]
 
@@ -354,6 +352,7 @@ def outlier_hits(projected, outliers, radius: float) -> int:
     outliers = np.atleast_2d(_finite("outliers", outliers))
     if outliers.size == 0:
         return 0
+    outliers = _shaped("outliers", outliers, (None, projected.shape[1]))
     d = _euclidean(projected, outliers)
     return int(np.count_nonzero(d.min(axis=1) < radius))
 
@@ -390,6 +389,7 @@ def _distances(source: PointSet, target: PointSet,
                ) -> tuple[DistanceMatrix, DistanceMatrix, np.ndarray]:
     """The source and target intra-domain matrices of a fit and its cross
     cost, as :func:`fit_alignment` defines them."""
+    _shaped("target points", target.points, (None, source.d))
     if class_penalty is not None:
         dx = class_conditional_cost(source, class_penalty)
     else:

@@ -63,8 +63,9 @@ class SolverConfig:
         _real("lam", self.lam, "nonnegative")
         for name in ("eps", "bandwidth", "outer_tol", "inner_tol"):
             _real(name, getattr(self, name), "positive")
-        for name in ("outer_iters", "inner_max_iter"):
-            _integer(name, getattr(self, name), 1)
+        for name, minimum in (("outer_iters", 1), ("inner_max_iter", 1),
+                              ("seed", 0)):
+            _integer(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,12 @@ def test_exit_1_on_bad_spec(tmp_path, capsys):
     assert main(["solve", unknown, "--out", str(tmp_path / "o")]) == 1
     assert "unknown spec keys" in capsys.readouterr().err
 
+    negative = _write_spec(tmp_path, _spec_data(solver={"seed": -1}),
+                           name="neg.json")
+    assert main(["solve", negative, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be at least 0, got -1"]
+
     missing = str(tmp_path / "nope.json")
     assert main(["solve", missing, "--out", str(tmp_path / "o")]) == 1
 
@@ -220,6 +226,9 @@ def test_exit_1_on_nan_override(tmp_path, capsys, flag, value, message):
     {"generator": {"sizes": [5, 5], "seed": 3, "outliers": 2.5}},
     {"generator": {"sizes": [5, 5], "seed": 3, "outliers": True}},
     {"generator": {"sizes": [5, 5], "seed": 3, "rotation": "x"}},
+    *({"generator": {"sizes": [5, 5], "seed": 3, "identity": bad}}
+      for bad in ("false", 1, None)),
+    *({"solver": {"seed": bad}} for bad in ("x", 1.5, True)),
     *({"solver": {name: bad}} for name in _SOLVER_REALS for bad in (True, "1")),
     *({"generator": {"sizes": [5, 5], "seed": 3, name: bad}}
       for name in _GENERATOR_REALS for bad in (True, "1")),

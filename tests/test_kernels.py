@@ -14,11 +14,12 @@ from scipy.spatial.distance import cdist
 
 from infoot import (CouplingMatrix, DistanceMatrix, KdeModel, PointSet,
                     ScoreMatrix, SolverConfig, barycentric_project,
-                    build_kde_model, check_marginal, cluster_coherence,
-                    conditional_project, entropy, estimate_scale,
-                    gaussian_kernel, importance_scores, importance_weights,
-                    load_distance_csv, mi_gradient, mutual_information,
-                    nn_classify, pairwise_distances, precision_at_k,
+                    build_kde_model, check_marginal, circular_validation,
+                    cluster_coherence, conditional_project, entropy,
+                    estimate_scale, fit_alignment, gaussian_kernel,
+                    importance_scores, importance_weights, load_distance_csv,
+                    mi_gradient, mutual_information, nn_classify,
+                    outlier_hits, pairwise_distances, precision_at_k,
                     sinkhorn, solve_fused_infoot, stratified_holdout,
                     uniform_weights)
 from infoot.kernels import _euclidean, _finite, _plan_values, _real, _shaped
@@ -369,6 +370,25 @@ _SHAPE_SITES = [
     ("precision_at_k-length", lambda: precision_at_k(
         _QS, [0, 1, 1], [0, 1], ks=(1,)),
      r"query_labels must have shape \(2,\), got \(3,\)"),
+    # A second set of points must have the width of the first.
+    ("nn_classify-width", lambda: nn_classify(
+        X.points, [0, 1, 1], [[0.0, 0.0, 0.0]]),
+     r"query_points must have shape \(1, 2\), got \(1, 3\)"),
+    ("outlier_hits-width", lambda: outlier_hits(
+        X.points, np.zeros((1, 3)), 1.0),
+     r"outliers must have shape \(1, 2\), got \(1, 3\)"),
+    ("fit_alignment-width", lambda: fit_alignment(
+        X, PointSet(np.zeros((2, 3))), SolverConfig()),
+     r"target points must have shape \(2, 2\), got \(2, 3\)"),
+    ("circular_validation-width", lambda: circular_validation(
+        PointSet(X.points, labels=[0, 1, 1]), PointSet(np.zeros((2, 3))),
+        SolverConfig(), [0.5]),
+     r"target points must have shape \(2, 2\), got \(2, 3\)"),
+    ("nn_classify-empty", lambda: nn_classify(
+        np.zeros((0, 2)), [], [[0.0, 0.0]]),
+     "train_points must be nonempty"),
+    ("nn_classify-empty-list", lambda: nn_classify([], [], [[0.0, 0.0]]),
+     "train_points must be nonempty"),
 ]
 
 

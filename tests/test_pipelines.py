@@ -54,6 +54,12 @@ def test_spec_rejects_unknown_and_missing_keys():
         spec_from_dict(_spec_dict(generator={"sizes": [3]}))
     with pytest.raises(ValueError, match="sizes is required"):
         spec_from_dict(_spec_dict(generator={"seed": 0}))
+    for key, message in (("scenario", r"^spec\.scenario is required$"),
+                         ("generator", r"^generator\.sizes is required$")):
+        data = _spec_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict(data)
     with pytest.raises(ValueError, match="scenario"):
         spec_from_dict(_spec_dict(scenario="clustering"))
     with pytest.raises(ValueError):
@@ -121,6 +127,12 @@ def test_stratified_holdout_guards():
         stratified_holdout(np.array([0]), fraction=0.5)
     with pytest.raises(ValueError):
         stratified_holdout(np.array([0, 1]), fraction=0.0)
+    for bad in ("0.5", None, True):
+        with pytest.raises(TypeError,
+                           match=f"^fraction must be a real number, got {bad!r}$"):
+            stratified_holdout([0, 0, 1, 1], fraction=bad)
+    with pytest.raises(ValueError, match=r"^holdout fraction must lie in \(0, 1\)$"):
+        stratified_holdout([0, 0, 1, 1], fraction=1.0)
     with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
         stratified_holdout(np.array([0, 0, 1, 1]), 0.5, seed=-1)
     # singleton classes never land in the test side
@@ -314,6 +326,7 @@ def test_outlier_hits_counts_within_radius():
     assert outlier_hits(projected, outliers, radius=0.5) == 1
     assert outlier_hits(projected, outliers, radius=20.0) == 3
     assert outlier_hits(projected, np.empty((0, 2)), radius=1.0) == 0
+    assert outlier_hits(projected, [], radius=1.0) == 0
     assert outlier_hits(projected, outliers, radius=0.0) == 0
     for bad in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError, match="^radius must be nonnegative"):

@@ -120,7 +120,9 @@ def test_solver_config_validation():
         SolverConfig(bandwidth=-0.5)
     with pytest.raises(ValueError):
         SolverConfig(outer_iters=0)
-    for name in ("outer_iters", "inner_max_iter"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -3$"):
+        SolverConfig(seed=-3)
+    for name in ("outer_iters", "inner_max_iter", "seed"):
         for value in (2.5, 3.0, True, "3"):
             with pytest.raises(TypeError, match=name):
                 SolverConfig(**{name: value})
