@@ -1,4 +1,4 @@
-"""End-to-end scenario runs: spec parsing, fitting, projecting, scoring.
+"""End-to-end runs: spec parsing, fitting, projecting, scoring.
 
 An :class:`ExperimentSpec` is the single JSON-serializable description of a
 run (what data to generate, how to solve, how to project). The pipeline
@@ -22,8 +22,8 @@ import numpy as np
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from ._parallel import parallel_map  # noqa: F401
 from ._version import __version__
-from .datasets import (DEFAULT_CLASS_PENALTY, ClusterSample, GeneratorConfig,
-                       _class_penalized, class_conditional_cost, gen_clusters)
+from .datasets import (ClusterSample, GeneratorConfig, _class_penalized,
+                       class_conditional_cost, gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, _euclidean, _finite, _integer,
                       _plan_values, _real, _shaped, pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
@@ -56,7 +56,6 @@ __all__ = [
     "validate_bandwidth_pipeline",
 ]
 
-SCENARIOS = ("point_cloud", "outliers", "imbalance", "adaptation", "retrieval")
 DEFAULT_BANDWIDTH_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 PRECISION_KS = (1, 5, 15)
 HOLDOUT_FRACTION = 0.1
@@ -69,32 +68,23 @@ _FRACTION_PREFIXES = ("accuracy", "coherence", "p_at_", "score")
 class ExperimentSpec:
     """Complete, reproducible description of one experiment run."""
 
-    scenario: str
     generator: GeneratorConfig
     solver: SolverConfig
     projection: ProjectionRequest
     bandwidth_grid: tuple[float, ...] = DEFAULT_BANDWIDTH_GRID
-    class_penalty: float = DEFAULT_CLASS_PENALTY
+    # None fits adapt and validate-bandwidth with the plain euclidean source
+    # cost; a number, with the class-conditional one at that penalty.
+    class_penalty: float | None = None
     out: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, "
-                             f"got {self.scenario!r}")
         object.__setattr__(self, "bandwidth_grid", _grid(self.bandwidth_grid))
-        object.__setattr__(self, "class_penalty", _real(
-            "class_penalty", self.class_penalty, "nonnegative"))
+        if self.class_penalty is not None:
+            object.__setattr__(self, "class_penalty", _real(
+                "class_penalty", self.class_penalty, "nonnegative"))
         if not (self.out is None or isinstance(self.out, str)):
             raise TypeError(f"out must be a path string or null, "
                             f"got {self.out!r}")
-
-    @property
-    def source_class_penalty(self) -> float | None:
-        """The class penalty of the source cost, on the scenarios that fit
-        with the class-conditional cost; ``None`` on the others."""
-        if self.scenario in ("adaptation", "imbalance"):
-            return self.class_penalty
-        return None
 
 
 def _grid(grid) -> tuple[float, ...]:
@@ -172,7 +162,6 @@ def version_stamp() -> str:
 class EvalReport:
     """Metrics of one run together with the fully resolved configuration."""
 
-    scenario: str
     metrics: dict
     config: dict
     version: str
@@ -226,7 +215,8 @@ def stratified_holdout(labels, fraction: float = HOLDOUT_FRACTION,
 
 def nn_classify(train_points, train_labels, query_points) -> np.ndarray:
     """1-nearest-neighbour labels; ties go to the lowest training index."""
-    train = np.atleast_2d(_finite("train_points", train_points))
+    train = _shaped("train_points", np.atleast_2d(
+        _finite("train_points", train_points)), (None, None))
     if not train.size:
         raise ValueError("train_points must be nonempty")
     queries = _shaped("query_points", np.atleast_2d(
@@ -284,6 +274,9 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
     never be coherent, so heavy outlier attraction lowers the score.
     """
     g = _plan_values(plan)
+    total = g.sum()
+    if not total > 0:
+        raise ValueError("coherence needs a plan with positive total mass")
     source_ids = _shaped("source_ids", source_ids, (g.shape[0],))
     target_ids = _shaped("target_ids", target_ids, (g.shape[1],))
     src_classes = np.unique(source_ids[source_ids >= 0])
@@ -305,7 +298,7 @@ def cluster_coherence(plan, source_ids, target_ids) -> float:
     # below rounding scores exactly 1.
     outliers = (g[source_ids < 0].sum()
                 + g[np.ix_(source_ids >= 0, target_ids < 0)].sum())
-    return float(1.0 - (mass[off].sum() + outliers) / g.sum())
+    return float(1.0 - (mass[off].sum() + outliers) / total)
 
 
 def precision_at_k(scores, query_labels, target_labels,
@@ -348,12 +341,13 @@ def precision_at_k(scores, query_labels, target_labels,
 def outlier_hits(projected, outliers, radius: float) -> int:
     """Count projections that land within ``radius`` of any outlier."""
     radius = _real("radius", radius, "nonnegative")
-    projected = np.atleast_2d(_finite("projected", projected))
+    projected = _shaped("projected", np.atleast_2d(
+        _finite("projected", projected)), (None, None))
     outliers = np.atleast_2d(_finite("outliers", outliers))
-    if outliers.size == 0:
+    if outliers.ndim == 2 and not outliers.size:  # no outliers, any width
         return 0
-    outliers = _shaped("outliers", outliers, (None, projected.shape[1]))
-    d = _euclidean(projected, outliers)
+    d = _euclidean(projected, _shaped("outliers", outliers,
+                                      (None, projected.shape[1])))
     return int(np.count_nonzero(d.min(axis=1) < radius))
 
 
@@ -451,7 +445,6 @@ def _base_metrics(fit: FitResult, source_ids, target_ids) -> dict:
 
 def _report(spec: ExperimentSpec, metrics: dict, start: float) -> EvalReport:
     return EvalReport(
-        scenario=spec.scenario,
         metrics=metrics,
         config=asdict(spec),
         version=version_stamp(),
@@ -505,9 +498,9 @@ def adaptation_pipeline(spec: ExperimentSpec
     during fitting), align the source against the remaining targets,
     project the source per the spec, then 1-NN classify the held-out
     targets against the projected source. The source cost is the one
-    :func:`validate_bandwidth_pipeline` tunes for: class-conditional on the
-    scenarios where :attr:`ExperimentSpec.source_class_penalty` is set,
-    plain euclidean on the others.
+    :func:`validate_bandwidth_pipeline` tunes for: class-conditional when
+    :attr:`ExperimentSpec.class_penalty` is set, plain euclidean when it is
+    ``None``.
     """
     start = time.perf_counter()
     sample = gen_clusters(spec.generator)
@@ -521,7 +514,7 @@ def adaptation_pipeline(spec: ExperimentSpec
     train_target = PointSet(sample.target.points[train_idx],
                             labels=sample.target_ids[train_idx])
     fit = fit_alignment(sample.source, train_target, spec.solver,
-                        class_penalty=spec.source_class_penalty)
+                        class_penalty=spec.class_penalty)
     projected = project_source(fit, spec.projection)
     predicted = nn_classify(projected, sample.source_ids,
                             sample.target.points[test_idx])
@@ -641,7 +634,7 @@ def validate_bandwidth_pipeline(spec: ExperimentSpec
     sample = gen_clusters(spec.generator)
     chosen, pairs = circular_validation(
         sample.source, sample.target, spec.solver, spec.bandwidth_grid,
-        spec.projection, class_penalty=spec.source_class_penalty)
+        spec.projection, class_penalty=spec.class_penalty)
     metrics = {"chosen_bandwidth": chosen}
     for h, score in pairs:
         metrics[f"score_h_{h:g}"] = score

@@ -31,7 +31,6 @@ def _write_spec(tmp_path, data, name="spec.json"):
 
 def _spec_data(**over):
     data = {
-        "scenario": "point_cloud",
         "generator": {"sizes": [5, 5], "seed": 3, "rotation": 0.4},
         "solver": {"lam": 10.0, "eps": 1.0, "bandwidth": 0.5,
                    "outer_iters": 20, "inner_max_iter": 2000,
@@ -141,20 +140,33 @@ def test_single_point_coupling_is_scalar_one(tmp_path):
 
 
 def test_adapt_and_retrieve_artifacts(tmp_path):
-    adapt = _write_spec(tmp_path, _spec_data(
-        scenario="adaptation",
+    adapt_data = _spec_data(
         generator={"sizes": [10, 10], "seed": 4, "identity": True},
         solver={"lam": 100.0, "bandwidth": 0.5, "outer_iters": 20,
                 "inner_max_iter": 2000, "inner_tol": 1e-8},
-    ), name="adapt.json")
+        class_penalty=5000.0)
+    adapt = _write_spec(tmp_path, adapt_data, name="adapt.json")
     out_a = tmp_path / "adapt"
     assert main(["adapt", adapt, "--out", str(out_a)]) == 0
     report = json.loads((out_a / "report.json").read_text())
     assert report["metrics"]["accuracy"] == 1.0
     assert (out_a / "projection.csv").exists()
 
+    # A null class penalty is the plain source cost, as an omitted one is.
+    plain = {k: v for k, v in adapt_data.items() if k != "class_penalty"}
+    outs = {}
+    for name, data in (("null", plain | {"class_penalty": None}),
+                       ("omitted", plain)):
+        spec = _write_spec(tmp_path, data, name=f"{name}.json")
+        outs[name] = tmp_path / name
+        assert main(["adapt", spec, "--out", str(outs[name])]) == 0
+    report = json.loads((outs["null"] / "report.json").read_text())
+    assert report["config"]["class_penalty"] is None
+    for artifact in ("coupling.csv", "projection.csv"):
+        assert (outs["null"] / artifact).read_bytes() == \
+            (outs["omitted"] / artifact).read_bytes()
+
     retrieve = _write_spec(tmp_path, _spec_data(
-        scenario="retrieval",
         generator={"sizes": [12, 12], "seed": 6, "rotation": 0.3,
                    "spread": 0.25},
         solver={"lam": 100.0, "bandwidth": 0.5, "outer_iters": 20,
@@ -169,7 +181,7 @@ def test_adapt_and_retrieve_artifacts(tmp_path):
 
 def test_exit_1_on_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{\n  "scenario": oops\n}\n')
+    bad.write_text('{\n  "class_penalty": oops\n}\n')
     assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "bad.json:2" in err

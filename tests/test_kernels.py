@@ -389,6 +389,16 @@ _SHAPE_SITES = [
      "train_points must be nonempty"),
     ("nn_classify-empty-list", lambda: nn_classify([], [], [[0.0, 0.0]]),
      "train_points must be nonempty"),
+    # Points of more than two axes are refused, not read through a slice.
+    ("nn_classify-3d", lambda: nn_classify(
+        np.zeros((2, 1, 2)), [0, 1], [[0.0]]),
+     r"train_points must be 2-d, got shape \(2, 1, 2\)"),
+    ("outlier_hits-3d", lambda: outlier_hits(
+        np.zeros((2, 1, 2)), np.zeros((1, 1)), 1.0),
+     r"projected must be 2-d, got shape \(2, 1, 2\)"),
+    ("outlier_hits-outliers-3d", lambda: outlier_hits(
+        X.points, np.zeros((0, 1, 2)), 1.0),
+     r"outliers must be 2-d, got shape \(0, 1, 2\)"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Experiment specs, evaluation metrics, and the scenario pipelines."""
+"""Experiment specs, evaluation metrics, and the pipelines."""
 
 import json
 import threading
@@ -25,7 +25,6 @@ FAST = dict(outer_iters=20, inner_max_iter=2000, inner_tol=1e-8)
 
 def _spec_dict(**over):
     data = {
-        "scenario": "point_cloud",
         "generator": {"sizes": [5, 5], "seed": 3, "rotation": 0.4},
         "solver": {"lam": 10.0, "eps": 1.0, "bandwidth": 0.5},
         "projection": {"mode": "conditional"},
@@ -36,7 +35,7 @@ def _spec_dict(**over):
 
 def test_spec_round_trip():
     spec = spec_from_dict(_spec_dict())
-    assert spec.scenario == "point_cloud"
+    assert spec.class_penalty is None
     assert spec.generator.sizes == (5, 5)
     # solver seed inherits the generator seed unless given
     assert spec.solver.seed == 3
@@ -54,14 +53,12 @@ def test_spec_rejects_unknown_and_missing_keys():
         spec_from_dict(_spec_dict(generator={"sizes": [3]}))
     with pytest.raises(ValueError, match="sizes is required"):
         spec_from_dict(_spec_dict(generator={"seed": 0}))
-    for key, message in (("scenario", r"^spec\.scenario is required$"),
-                         ("generator", r"^generator\.sizes is required$")):
-        data = _spec_dict()
-        del data[key]
-        with pytest.raises(ValueError, match=message):
-            spec_from_dict(data)
-    with pytest.raises(ValueError, match="scenario"):
-        spec_from_dict(_spec_dict(scenario="clustering"))
+    data = _spec_dict()
+    del data["generator"]
+    with pytest.raises(ValueError, match=r"^generator\.sizes is required$"):
+        spec_from_dict(data)
+    with pytest.raises(ValueError, match="^unknown spec keys: scenario$"):
+        spec_from_dict(_spec_dict(scenario="adaptation"))
     with pytest.raises(ValueError):
         spec_from_dict(_spec_dict(bandwidth_grid=[]))
     with pytest.raises(ValueError):
@@ -79,7 +76,7 @@ def test_spec_out_is_a_path_string_or_null():
 
 def test_load_spec_reports_json_line(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{\n  "scenario": "point_cloud",\n  oops\n}\n')
+    path.write_text('{\n  "class_penalty": 2.0,\n  oops\n}\n')
     with pytest.raises(ValueError, match=r"broken\.json:3"):
         load_spec(path)
     good = tmp_path / "good.json"
@@ -93,15 +90,15 @@ def test_version_stamp_prefix():
 
 
 def test_eval_report_validation():
-    report = EvalReport("point_cloud", {"coherence": 0.9}, {}, "0", 0.1)
+    report = EvalReport({"coherence": 0.9}, {}, "0", 0.1)
     payload = json.loads(report.to_json())
     assert payload["metrics"]["coherence"] == 0.9
     with pytest.raises(ValueError, match="outside"):
-        EvalReport("point_cloud", {"accuracy": 1.5}, {}, "0", 0.1)
+        EvalReport({"accuracy": 1.5}, {}, "0", 0.1)
     with pytest.raises(ValueError, match="finite"):
-        EvalReport("point_cloud", {"mi": float("nan")}, {}, "0", 0.1)
+        EvalReport({"mi": float("nan")}, {}, "0", 0.1)
     with pytest.raises(ValueError):
-        EvalReport("point_cloud", {}, {}, "0", -1.0)
+        EvalReport({}, {}, "0", -1.0)
 
 
 def test_stratified_holdout_properties():
@@ -183,6 +180,8 @@ def test_cluster_coherence_hand_computed():
     assert abs(score - 0.8) < 1e-12
     with pytest.raises(ValueError, match="same number"):
         cluster_coherence(plan, source_ids, np.array([0, 2]) * 0)
+    with pytest.raises(ValueError, match="^coherence needs a plan with "):
+        cluster_coherence(np.zeros((2, 2)), [0, 1], [0, 1])
 
 
 def test_cluster_coherence_is_one_without_off_pairing_mass():
@@ -352,7 +351,7 @@ def test_solve_pipeline_produces_report():
     spec = spec_from_dict(_spec_dict(solver={"lam": 10.0, "bandwidth": 0.5,
                                              **FAST}))
     report, fit, sample = solve_pipeline(spec)
-    assert report.scenario == "point_cloud"
+    assert report.config["class_penalty"] is None
     for key in ("coherence", "mi", "objective", "converged",
                 "outer_iterations"):
         assert key in report.metrics
@@ -397,8 +396,7 @@ def test_project_pipeline_projects_each_mode_once(monkeypatch):
         name = f"{mode}_project"
         monkeypatch.setattr(infoot.pipelines, name,
                             counted(mode, getattr(infoot.pipelines, name)))
-    data = _spec_dict(scenario="outliers",
-                      generator={"sizes": [5, 5], "seed": 3, "outliers": 2},
+    data = _spec_dict(generator={"sizes": [5, 5], "seed": 3, "outliers": 2},
                       solver={"lam": 10.0, "bandwidth": 0.5, **FAST})
     for mode in calls:
         before = dict(calls)
@@ -415,9 +413,9 @@ def test_project_pipeline_projects_each_mode_once(monkeypatch):
 def test_adaptation_identity_instance_is_perfect():
     # identical domains: label transfer must be exact
     data = _spec_dict(
-        scenario="adaptation",
         generator={"sizes": [10, 10], "seed": 4, "identity": True},
         solver={"lam": 100.0, "eps": 1.0, "bandwidth": 0.5, **FAST},
+        class_penalty=5000.0,
     )
     report, fit, sample, projected = adaptation_pipeline(spec_from_dict(data))
     assert report.metrics["accuracy"] == 1.0
@@ -425,27 +423,27 @@ def test_adaptation_identity_instance_is_perfect():
     assert projected.shape == (20, 2)
 
 
-@pytest.mark.parametrize("scenario", ["point_cloud", "adaptation"])
-def test_adaptation_fits_with_the_spec_source_cost(scenario):
-    # adapt fits with the class-conditional source cost exactly where
-    # validate-bandwidth tunes for it: on the adaptation and imbalance
-    # scenarios, and with the plain cost on the others.
-    spec = spec_from_dict(_spec_dict(scenario=scenario))
+@pytest.mark.parametrize("penalty", [None, 2.0, 5000.0])
+def test_adaptation_fits_with_the_spec_source_cost(penalty):
+    # adapt fits with the spec's class penalty, the one validate-bandwidth
+    # tunes for: the plain source cost when it is None, the class-conditional
+    # one at that penalty otherwise.
+    spec = spec_from_dict(_spec_dict(class_penalty=penalty))
     _, fit, sample, _ = adaptation_pipeline(spec)
     train, _ = stratified_holdout(sample.target_ids, seed=spec.generator.seed)
     train_target = PointSet(sample.target.points[train],
                             labels=sample.target_ids[train])
-    penalty = spec.class_penalty if scenario == "adaptation" else None
-    assert spec.source_class_penalty == penalty
     expected = fit_alignment(sample.source, train_target, spec.solver,
                              class_penalty=penalty)
     assert np.array_equal(fit.result.coupling.values,
                           expected.result.coupling.values)
+    plain = fit_alignment(sample.source, train_target, spec.solver)
+    assert np.array_equal(fit.result.coupling.values,
+                          plain.result.coupling.values) == (penalty is None)
 
 
 def test_retrieval_pipeline_metrics():
     data = _spec_dict(
-        scenario="retrieval",
         generator={"sizes": [12, 12], "seed": 6, "rotation": 0.3,
                    "spread": 0.25},
         solver={"lam": 100.0, "eps": 1.0, "bandwidth": 0.5, **FAST},

@@ -90,7 +90,6 @@ def test_cli_looks_up_traced_names_when_a_command_runs(monkeypatch,
     assert traced and traced <= set(commands)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
-        "scenario": "point_cloud",
         "generator": {"sizes": [8, 8], "seed": 3},
         "solver": {"lam": 10.0, "outer_iters": 20, "inner_max_iter": 2000,
                    "inner_tol": 1e-8}}))
@@ -111,6 +110,7 @@ def test_cli_looks_up_traced_names_when_a_command_runs(monkeypatch,
 
 def test_readme_quick_start_prints_what_it_promises():
     readme = (ROOT / "README.md").read_text()
+    assert len(re.findall(r"^```python\n", readme, re.M)) == 1
     section = readme.split("## Quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     promised = [line.split("#", 1)[1].strip() for line in code.splitlines()
