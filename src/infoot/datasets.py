@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DistanceMatrix, _integer, _real, pairwise_distances
+from .kernels import (DistanceMatrix, _integer, _listed, _real,
+                      pairwise_distances)
 from .points import PointSet
 
 __all__ = [
@@ -53,13 +54,14 @@ class GeneratorConfig:
         _real("spread", self.spread, "nonnegative")
         for name in ("separation", "outlier_scale"):
             _real(name, getattr(self, name), "positive")
-        sizes = tuple(_integer("sizes", s, 1) for s in self.sizes)
+        sizes = tuple(_integer("sizes", s, 1)
+                      for s in _listed("sizes", self.sizes, "integers"))
         if not sizes:
             raise ValueError("sizes must be a nonempty tuple of counts")
         object.__setattr__(self, "sizes", sizes)
         if self.target_sizes is not None:
-            tsizes = tuple(_integer("target_sizes", s, 1)
-                           for s in self.target_sizes)
+            tsizes = tuple(_integer("target_sizes", s, 1) for s in _listed(
+                "target_sizes", self.target_sizes, "integers"))
             if len(tsizes) != len(sizes):
                 raise ValueError("target_sizes must match the cluster count")
             object.__setattr__(self, "target_sizes", tsizes)

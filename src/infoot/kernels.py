@@ -40,7 +40,6 @@ __all__ = [
     "DistanceMatrix",
     "KdeModel",
     "pairwise_distances",
-    "load_distance_csv",
     "estimate_scale",
     "gaussian_kernel",
     "build_kde_model",
@@ -84,6 +83,17 @@ def _real(name: str, value, sign: str | None = None) -> float:
         raise ValueError(f"{name} must be {sign + ' and ' if sign else ''}"
                          f"finite, got {value}")
     return x
+
+
+def _listed(name: str, values, kind: str) -> tuple:
+    """The entries of a list setting as a tuple; a string, bytes or a value
+    that cannot be iterated is a TypeError that names the setting."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return tuple(iter(values))
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be a list of {kind}, got {values!r}")
 
 
 def _finite(name: str, a, sign: str | None = None) -> np.ndarray:
@@ -265,11 +275,6 @@ def pairwise_distances(a: PointSet, b: PointSet) -> DistanceMatrix:
     if a is b:
         np.fill_diagonal(vals, 0.0)
     return DistanceMatrix(vals)
-
-
-def load_distance_csv(path) -> DistanceMatrix:
-    """Read a precomputed distance matrix from a headerless numeric CSV."""
-    return DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 def estimate_scale(d: DistanceMatrix) -> float:

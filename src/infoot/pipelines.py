@@ -25,7 +25,8 @@ from ._version import __version__
 from .datasets import (ClusterSample, GeneratorConfig, _class_penalized,
                        class_conditional_cost, gen_clusters)
 from .kernels import (DistanceMatrix, KdeModel, _euclidean, _finite, _integer,
-                      _plan_values, _real, _shaped, pairwise_distances)
+                      _listed, _plan_values, _real, _shaped,
+                      pairwise_distances)
 # Unused here; kept importable because perfbench/spans.py patches this name.
 from .kernels import build_kde_model  # noqa: F401
 from .points import PointSet
@@ -88,10 +89,15 @@ class ExperimentSpec:
 
 
 def _grid(grid) -> tuple[float, ...]:
-    """A nonempty bandwidth grid's entries, each checked by :func:`_real`."""
-    grid = tuple(_real("bandwidth_grid entries", h, "positive") for h in grid)
+    """A nonempty bandwidth grid's entries, each checked by :func:`_real`
+    and listed once."""
+    grid = tuple(_real("bandwidth_grid entries", h, "positive")
+                 for h in _listed("bandwidth_grid", grid, "real numbers"))
     if not grid:
         raise ValueError("bandwidth_grid must be nonempty")
+    for i, h in enumerate(grid):
+        if h in grid[:i]:
+            raise ValueError(f"bandwidth_grid lists {h!r} twice")
     return grid
 
 
@@ -429,7 +435,7 @@ def project_source(fit: FitResult,
     if request.mode == "barycentric":
         return barycentric_project(fit.result.coupling, fit.target)
     return conditional_project(fit.model, fit.result.coupling, None,
-                               fit.target, request.bandwidth)
+                               fit.target)
 
 
 def _base_metrics(fit: FitResult, source_ids, target_ids) -> dict:
@@ -551,8 +557,7 @@ def retrieval_pipeline(spec: ExperimentSpec
     fit = fit_alignment(train_source, sample.target, spec.solver)
     scores = importance_scores(fit.model, fit.result.coupling,
                                sample.source.points[query_idx],
-                               fit.target, spec.projection.bandwidth,
-                               source_points=train_source)
+                               fit.target, source_points=train_source)
     precisions = precision_at_k(scores, sample.source_ids[query_idx],
                                 sample.target_ids)
     metrics = {
@@ -637,5 +642,9 @@ def validate_bandwidth_pipeline(spec: ExperimentSpec
         spec.projection, class_penalty=spec.class_penalty)
     metrics = {"chosen_bandwidth": chosen}
     for h, score in pairs:
-        metrics[f"score_h_{h:g}"] = score
+        # :g where it reads back as h, which keeps the keys it has always
+        # given; otherwise repr, the shortest round-trip form, so that no
+        # two grid values share a key.
+        key = f"{h:g}" if float(f"{h:g}") == h else repr(h)
+        metrics[f"score_h_{key}"] = score
     return _report(spec, metrics, start), chosen, pairs

@@ -1,22 +1,22 @@
-"""Sample containers and CSV reading and writing.
+"""Sample containers and CSV writing.
 
 A :class:`PointSet` bundles a domain's samples with optional class labels
 and per-sample marginal weights. Weights default to the uniform histogram.
 They are the Sinkhorn marginals, so one rule, :func:`check_marginal`, checks
-both: strictly positive entries that sum to one.
+both: strictly positive entries that sum to one. Every CSV the package
+writes goes through :func:`write_csv` in a float's shortest round-trip
+form, so ``np.loadtxt`` reads it back exactly.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import _finite, _readonly, _shaped
 
-__all__ = ["PointSet", "load_points_csv", "save_points_csv", "uniform_weights",
-           "check_marginal"]
+__all__ = ["PointSet", "save_points_csv", "uniform_weights", "check_marginal"]
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -92,39 +92,6 @@ class PointSet:
         return self.points.shape[1]
 
 
-def load_points_csv(path) -> PointSet:
-    """Read a point set from CSV.
-
-    Expects a header row naming the feature columns; an optional trailing
-    ``label`` column holds integer class ids. One sample per row.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    has_labels = header and header[-1].strip().lower() == "label"
-    ncols = len(header)
-    data = np.empty((len(rows), ncols))
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} fields, expected {ncols}")
-        try:
-            data[i] = [float(v) for v in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i + 2}: {exc}") from None
-    try:
-        if has_labels:
-            return PointSet(data[:, :-1], labels=data[:, -1])
-        return PointSet(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def write_csv(path, rows, header=None) -> None:
     """Write ``rows`` (an array, or rows of Python scalars as ``.tolist()``
     gives them) as comma-separated lines ending in LF. Each cell goes
@@ -139,7 +106,9 @@ def write_csv(path, rows, header=None) -> None:
 
 
 def save_points_csv(path, ps: PointSet) -> None:
-    """Write a point set in the format read by :func:`load_points_csv`."""
+    """Write a point set as CSV: a header of feature names ``x0, x1, ...``,
+    plus a trailing ``label`` column when the set has labels, then one
+    sample per row."""
     header = [f"x{i}" for i in range(ps.d)]
     rows = ps.points.tolist()
     if ps.labels is not None:

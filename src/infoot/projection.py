@@ -47,22 +47,17 @@ _MODES = ("barycentric", "conditional")
 
 @dataclass(frozen=True)
 class ProjectionRequest:
-    """How the training source points are mapped into the target domain.
-
-    ``bandwidth`` overrides the solver bandwidth for the conditional
-    weights and is ignored by the barycentric map. Out-of-sample queries
-    go to :func:`conditional_project` or :func:`importance_weights`
-    directly.
+    """How the training source points are mapped into the target domain:
+    the projection mode. The conditional map runs at the fitted bandwidth;
+    another bandwidth, or an out-of-sample query, goes to
+    :func:`conditional_project` or :func:`importance_weights` directly.
     """
 
     mode: str = "conditional"
-    bandwidth: float | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.bandwidth is not None:
-            _real("projection bandwidth", self.bandwidth, "positive")
 
 
 @dataclass(frozen=True)
@@ -137,8 +132,8 @@ def _distance_rows(model: KdeModel, queries,
     return _euclidean(_finite("query coordinates", x), source_points.points)
 
 
-def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
-             normalize: bool) -> np.ndarray:
+def _weights(model: KdeModel, g: np.ndarray, h: float,
+             d: np.ndarray) -> np.ndarray:
     """Importance weights of the queries at distances ``d`` (q, n) from the
     source samples.
 
@@ -153,26 +148,22 @@ def _weights(model: KdeModel, g: np.ndarray, h: float, d: np.ndarray,
     d2 = d * d
     d2 -= d2.min(axis=1, keepdims=True)
     kq = _squared_kernel(d2, h, model.dist_x.scale)
-    _, weights = _floored_ratio(kq @ w, kq.sum(axis=1), target_sums)
-    if normalize:
-        weights /= weights.sum(axis=1, keepdims=True)
-    return weights
+    return _floored_ratio(kq @ w, kq.sum(axis=1), target_sums)[1]
 
 
 def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
                        h_proj: float | None = None, *,
                        source_points: PointSet | None = None,
-                       query_distances=None,
-                       normalize: bool = False) -> np.ndarray:
+                       query_distances=None) -> np.ndarray:
     """Importance weights of one query against every target sample.
 
     ``query`` is an integer index of a training source point, or a
     coordinate row for an unseen point (then ``source_points`` or
     ``query_distances`` must be given). An index selects its own distances
     and refuses ``query_distances``. ``h_proj`` defaults to the bandwidth
-    the model was fitted with. Weights are strictly positive up to
-    floating-point underflow; ``normalize=True`` rescales them to a
-    probability row.
+    the model was fitted with. Weights are the raw density ratios,
+    strictly positive up to floating-point underflow;
+    :func:`importance_scores` rescales them to a probability row.
     """
     g, h = _checked_plan(model, coupling, targets, h_proj)
     query = np.asarray(query)
@@ -187,7 +178,7 @@ def importance_weights(model: KdeModel, coupling, query, targets: PointSet,
     else:
         d = _finite("query distances", _shaped(
             "query distances", query_distances, (model.n,)), "nonnegative")
-    return _weights(model, g, h, d.reshape(1, -1), normalize)[0]
+    return _weights(model, g, h, d.reshape(1, -1))[0]
 
 
 def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
@@ -203,7 +194,8 @@ def importance_scores(model: KdeModel, coupling, queries, targets: PointSet,
     g, h = _checked_plan(model, coupling, targets, h_proj)
     d = model.dist_x.values if queries is None \
         else _distance_rows(model, queries, source_points)
-    weights = _weights(model, g, h, d, normalize=True)
+    weights = _weights(model, g, h, d)
+    weights /= weights.sum(axis=1, keepdims=True)
     return ScoreMatrix(weights)
 
 

@@ -156,7 +156,8 @@ def solve_infoot(dx: DistanceMatrix, dy: DistanceMatrix, p, q,
     cost at ``lam = 1``, which the result's ``config`` states; the
     objective trace is then simply the negated MI trace.
     """
-    C = np.zeros((dx.shape[0], dy.shape[0]))
+    # A read-only zero-stride view: the zero cost takes no (n, m) array.
+    C = np.broadcast_to(0.0, (dx.shape[0], dy.shape[0]))
     return solve_fused_infoot(C, dx, dy, p, q, replace(cfg, lam=1.0))
 
 

@@ -190,6 +190,13 @@ def test_exit_1_on_bad_spec(tmp_path, capsys):
     assert main(["solve", unknown, "--out", str(tmp_path / "o")]) == 1
     assert "unknown spec keys" in capsys.readouterr().err
 
+    # The projection request is the mode alone.
+    projection = _write_spec(tmp_path, _spec_data(projection={
+        "mode": "conditional", "bandwidth": 0.3}), name="proj.json")
+    assert main(["solve", projection, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: unknown projection keys: bandwidth"]
+
     negative = _write_spec(tmp_path, _spec_data(solver={"seed": -1}),
                            name="neg.json")
     assert main(["solve", negative, "--out", str(tmp_path / "o")]) == 1
@@ -244,8 +251,11 @@ def test_exit_1_on_nan_override(tmp_path, capsys, flag, value, message):
     *({"solver": {name: bad}} for name in _SOLVER_REALS for bad in (True, "1")),
     *({"generator": {"sizes": [5, 5], "seed": 3, name: bad}}
       for name in _GENERATOR_REALS for bad in (True, "1")),
-    {"projection": {"bandwidth": True}},
-    {"projection": {"bandwidth": "0.5"}},
+    {"generator": {"sizes": "25", "seed": 3}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "target_sizes": 5}},
+    {"generator": {"sizes": [5, 5], "seed": 3, "target_sizes": "55"}},
+    {"bandwidth_grid": 0.5},
+    {"bandwidth_grid": "0.5"},
     {"bandwidth_grid": ["0.5"]},
     {"bandwidth_grid": [0.5, True]},
     {"class_penalty": "5000"},
@@ -260,6 +270,13 @@ def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
     key = next(iter(over))
     section = key if key in ("generator", "solver", "projection") else "spec"
     assert len(err) == 1 and err[0].startswith(f"error: invalid {section} ")
+    # A list setting given as a string or a bare number is refused by name,
+    # not read one character at a time.
+    given = over[key] if key == "generator" else over
+    for name in ("sizes", "target_sizes", "bandwidth_grid"):
+        if isinstance(given, dict) and name in given \
+                and not isinstance(given[name], list):
+            assert f" value: {name} must be a list of " in err[0]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
@@ -267,8 +284,8 @@ def test_exit_1_on_value_of_wrong_type(tmp_path, capsys, over):
 @pytest.mark.parametrize("field", [
     *(("solver", name) for name in _SOLVER_REALS),
     *(("generator", name) for name in _GENERATOR_REALS),
-    ("projection", "bandwidth"), ("spec", "bandwidth_grid"),
-    ("spec", "class_penalty")], ids=lambda field: ".".join(field))
+    ("spec", "bandwidth_grid"), ("spec", "class_penalty")],
+    ids=lambda field: ".".join(field))
 def test_exit_1_on_non_finite_spec_value(tmp_path, capsys, field, bad):
     # JSON written by Python may carry NaN and Infinity; no real setting
     # takes them, and the one error line names the field.

@@ -1,5 +1,7 @@
 """Synthetic scenario generators and the class-conditional cost."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -110,6 +112,18 @@ def test_config_validation():
     assert cfg.sizes == (4, 4) and cfg.n_clusters == 2
     assert all(type(s) is int for s in cfg.sizes)
     assert cfg.seed == 1
+
+
+def test_size_lists_refuse_strings_and_bare_numbers():
+    # A string or bytes would be read one character at a time.
+    for name in ("sizes", "target_sizes"):
+        for bad in (5, "25", b"\x05", None if name == "sizes" else 2.0):
+            message = f"{name} must be a list of integers, got {bad!r}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                GeneratorConfig(**{"sizes": (3, 3), "seed": 0, name: bad})
+    for given in ((3, 4), [3, 4], np.array([3, 4])):
+        cfg = GeneratorConfig(sizes=given, seed=0, target_sizes=given)
+        assert cfg.sizes == cfg.target_sizes == (3, 4)
 
 
 def test_class_conditional_cost_structure():

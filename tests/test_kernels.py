@@ -17,11 +17,10 @@ from infoot import (CouplingMatrix, DistanceMatrix, KdeModel, PointSet,
                     build_kde_model, check_marginal, circular_validation,
                     cluster_coherence, conditional_project, entropy,
                     estimate_scale, fit_alignment, gaussian_kernel,
-                    importance_scores, importance_weights, load_distance_csv,
-                    mi_gradient, mutual_information, nn_classify,
-                    outlier_hits, pairwise_distances, precision_at_k,
-                    sinkhorn, solve_fused_infoot, stratified_holdout,
-                    uniform_weights)
+                    importance_scores, importance_weights, mi_gradient,
+                    mutual_information, nn_classify, outlier_hits,
+                    pairwise_distances, precision_at_k, sinkhorn,
+                    solve_fused_infoot, stratified_holdout, uniform_weights)
 from infoot.kernels import _euclidean, _finite, _plan_values, _real, _shaped
 
 X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
@@ -522,14 +521,14 @@ def test_load_distance_csv(tmp_path):
     vals = _loop_distances(X.points, X.points)
     path = tmp_path / "d.csv"
     np.savetxt(path, vals, delimiter=",")
-    d = load_distance_csv(path)
+    d = DistanceMatrix(np.loadtxt(path, delimiter=",", ndmin=2))
     np.testing.assert_allclose(d.values, vals, atol=1e-12)
     assert d.is_intra
     build_kde_model(d, pairwise_distances(Y, Y), H)
     cross = _loop_distances(X.points, Y.points)
     path2 = tmp_path / "c.csv"
     np.savetxt(path2, cross, delimiter=",")
-    c = load_distance_csv(path2)
+    c = DistanceMatrix(np.loadtxt(path2, delimiter=",", ndmin=2))
     assert c.shape == (3, 2) and not c.is_intra
     with pytest.raises(ValueError, match="square"):
         build_kde_model(c, pairwise_distances(Y, Y), H)

@@ -35,3 +35,10 @@ def test_sinkhorn_is_the_function_and_imports_as_the_module():
     module = _module("sinkhorn")
     assert isinstance(module, types.ModuleType)
     assert infoot.sinkhorn is module.sinkhorn
+
+
+def test_retired_readers_are_gone():
+    # CSVs read back with np.loadtxt; see the README.
+    for name in ("load_points_csv", "load_distance_csv"):
+        assert not hasattr(infoot, name)
+        assert not any(hasattr(_module(m), name) for m in MODULES)

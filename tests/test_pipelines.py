@@ -499,6 +499,39 @@ def test_validate_bandwidth_pipeline_single_entry_grid():
     assert report.metrics["score_h_0.4"] == pairs[0][1]
 
 
+def test_validate_bandwidth_pipeline_keys_each_grid_value():
+    # Grid values that print alike at six significant digits keep their
+    # own scores; 0.3, 0.5 and 1 keep the keys they have always had.
+    data = _spec_dict(
+        generator={"sizes": [6, 6], "seed": 8, "identity": True},
+        solver={"lam": 100.0, "bandwidth": 0.5, **FAST},
+        bandwidth_grid=[0.5, 0.5000001, 0.3, 1],
+    )
+    report, _, pairs = validate_bandwidth_pipeline(spec_from_dict(data))
+    assert [h for h, _ in pairs] == [0.3, 0.5, 0.5000001, 1.0]
+    scores = {k: v for k, v in report.metrics.items()
+              if k.startswith("score_h_")}
+    assert scores == {"score_h_0.3": pairs[0][1], "score_h_0.5": pairs[1][1],
+                      "score_h_0.5000001": pairs[2][1],
+                      "score_h_1": pairs[3][1]}
+
+
+def test_bandwidth_grid_lists_each_value_once():
+    with pytest.raises(ValueError, match=r"^bandwidth_grid lists 0\.5 twice$"):
+        spec_from_dict(_spec_dict(bandwidth_grid=[0.5, 0.3, 0.5]))
+    sample = gen_clusters(GeneratorConfig(sizes=(4, 4), seed=0))
+    with pytest.raises(ValueError, match=r"^bandwidth_grid lists 1\.0 twice$"):
+        circular_validation(sample.source, sample.target,
+                            SolverConfig(bandwidth=0.5), [1, 0.5, 1.0])
+    for given in ((0.3, 0.5), np.array([0.3, 0.5])):
+        spec = spec_from_dict(_spec_dict(bandwidth_grid=given))
+        assert spec.bandwidth_grid == (0.3, 0.5)
+    for bad in (0.5, "0.5", b"0.5"):
+        with pytest.raises(TypeError, match="^bandwidth_grid must be a list "
+                                            "of real numbers, got "):
+            replace(spec, bandwidth_grid=bad)
+
+
 def test_reports_identical_across_thread_counts():
     data = _spec_dict(
         generator={"sizes": [6, 6], "seed": 8, "rotation": 0.2},

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from infoot import (PointSet, check_marginal, load_points_csv, save_points_csv,
-                    uniform_weights)
+from infoot import PointSet, check_marginal, save_points_csv, uniform_weights
 
 
 def test_uniform_weights_sum_to_one():
@@ -80,18 +79,22 @@ def test_pointset_weights_follow_the_marginal_rule():
 
 
 def test_csv_round_trip_with_labels(tmp_path):
+    # A header of feature names and a trailing label column; np.loadtxt
+    # reads back the exact floats, and PointSet the labels.
     rng = np.random.default_rng(0)
     ps = PointSet(rng.normal(size=(6, 3)), labels=np.array([0, 0, 1, 1, 2, 2]))
     path = tmp_path / "pts.csv"
     save_points_csv(path, ps)
-    back = load_points_csv(path)
+    assert path.read_text().splitlines()[0] == "x0,x1,x2,label"
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    back = PointSet(data[:, :-1], labels=data[:, -1])
     np.testing.assert_array_equal(back.points, ps.points)
     np.testing.assert_array_equal(back.labels, ps.labels)
 
 
 def test_pointset_labels_are_whole_numbers(tmp_path):
-    # A fractional or non-finite label is refused, not truncated; the CSV
-    # loader reaches the same rule through PointSet.
+    # A fractional or non-finite label is refused, not truncated; labels
+    # read back from a CSV as floats reach the same rule through PointSet.
     for bad in ([0, 1.7], [0, np.nan], [0, np.inf]):
         with pytest.raises(ValueError, match="^labels must be whole numbers"):
             PointSet(np.zeros((2, 2)), labels=bad)
@@ -100,30 +103,18 @@ def test_pointset_labels_are_whole_numbers(tmp_path):
     assert np.issubdtype(ps.labels.dtype, np.signedinteger)
     path = tmp_path / "frac.csv"
     path.write_text("x0,label\n1.0,0\n2.0,1.5\n")
-    with pytest.raises(ValueError, match="frac.csv: labels must be whole"):
-        load_points_csv(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with pytest.raises(ValueError, match="^labels must be whole"):
+        PointSet(data[:, :-1], labels=data[:, -1])
     path.write_text("x0,label\n1.0,0\n2.0,1.0\n")
-    assert load_points_csv(path).labels.tolist() == [0, 1]
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert PointSet(data[:, :-1], labels=data[:, -1]).labels.tolist() == [0, 1]
 
 
 def test_csv_round_trip_unlabeled(tmp_path):
     ps = PointSet(np.array([[1.5, -2.0], [0.25, 1e-12]]))
     path = tmp_path / "pts.csv"
     save_points_csv(path, ps)
-    back = load_points_csv(path)
-    np.testing.assert_array_equal(back.points, ps.points)
-    assert back.labels is None
-
-
-def test_csv_bad_row_reports_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x0,x1\n1.0,2.0\n3.0,oops\n")
-    with pytest.raises(ValueError, match="row 3"):
-        load_points_csv(path)
-
-
-def test_csv_requires_header(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_points_csv(path)
+    assert path.read_text() == "x0,x1\n1.5,-2.0\n0.25,1e-12\n"
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(back, ps.points)

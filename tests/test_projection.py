@@ -6,6 +6,7 @@ kernel tests (same kernels recomputed from scratch, no package code).
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_weights_positive_and_normalization():
     model = _model()
     w = importance_weights(model, PLAN, 1, Y)
     assert np.all(w > 0)
-    wn = importance_weights(model, PLAN, 1, Y, normalize=True)
+    wn = importance_scores(model, PLAN, 1, Y).values[0]
     assert abs(wn.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(wn, w / w.sum(), atol=1e-15)
 
@@ -141,8 +142,6 @@ def test_query_forms_give_equal_weights(h_proj):
 def test_nan_inputs_rejected():
     model = _model()
     with pytest.raises(ValueError, match="bandwidth"):
-        ProjectionRequest(bandwidth=float("nan"))
-    with pytest.raises(ValueError, match="bandwidth"):
         importance_weights(model, PLAN, 0, Y, h_proj=float("nan"))
     with pytest.raises(ValueError, match="finite and nonnegative"):
         importance_weights(model, PLAN, np.array([0.1, 0.2]), Y,
@@ -155,12 +154,8 @@ def test_projection_bandwidth_follows_the_real_rule():
     model = _model()
     for bad in (np.inf, -np.inf, 0.0):
         with pytest.raises(ValueError, match="^projection bandwidth must be"):
-            ProjectionRequest(bandwidth=bad)
-        with pytest.raises(ValueError, match="^projection bandwidth must be"):
             importance_scores(model, PLAN, None, Y, h_proj=bad)
     for bad in (True, "0.3"):
-        with pytest.raises(TypeError, match="^projection bandwidth must be"):
-            ProjectionRequest(bandwidth=bad)
         with pytest.raises(TypeError, match="^projection bandwidth must be"):
             importance_weights(model, PLAN, 0, Y, h_proj=bad)
 
@@ -194,8 +189,8 @@ def test_importance_scores_batches_all_queries():
     model = _model()
     scores = importance_scores(model, PLAN, None, Y)
     assert scores.shape == (3, 2)
-    row0 = importance_weights(model, PLAN, 0, Y, normalize=True)
-    np.testing.assert_allclose(scores.values[0], row0, atol=1e-15)
+    w0 = importance_weights(model, PLAN, 0, Y)
+    np.testing.assert_allclose(scores.values[0], w0 / w0.sum(), atol=1e-15)
     # index-array and coordinate-batch specs
     sub = importance_scores(model, PLAN, np.array([2, 0]), Y)
     np.testing.assert_allclose(sub.values[0], scores.values[2], atol=1e-15)
@@ -320,10 +315,11 @@ def test_factor_memo_alternating_bandwidths():
 def test_projection_request_validation():
     req = ProjectionRequest()
     assert req.mode == "conditional"
+    # The request is the mode alone; the conditional map runs at the
+    # fitted bandwidth.
+    assert [f.name for f in fields(ProjectionRequest)] == ["mode"]
     with pytest.raises(ValueError):
         ProjectionRequest(mode="nearest")
-    with pytest.raises(ValueError):
-        ProjectionRequest(bandwidth=-1.0)
 
 
 def test_score_matrix_validation():
@@ -408,8 +404,9 @@ def test_batched_scores_match_per_row_oracle():
         expect = _oracle_row(d_row, model, g, ys, h_proj)
         np.testing.assert_allclose(row, expect, rtol=0, atol=1e-15)
         by_dist = importance_weights(model, g, q, ys, h_proj,
-                                     query_distances=d_row, normalize=True)
-        np.testing.assert_allclose(by_dist, expect, rtol=0, atol=1e-15)
+                                     query_distances=d_row)
+        np.testing.assert_allclose(by_dist / by_dist.sum(), expect, rtol=0,
+                                   atol=1e-15)
 
 
 def test_batch_with_one_bad_index_raises():
