@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+# Entries in one row block of an (n, m) temporary that is formed a block of
+# rows at a time (:func:`_row_blocks`). Every fit of the shipped specs, the
+# largest 54 x 60, fits in one block, so its sums keep the order and the
+# bits of an unblocked sum.
+ROW_BLOCK = 1 << 14
 # Gaussian kernels keep densities positive, but tiny bandwidths underflow;
 # the joint is clamped before any division or log.
 JOINT_FLOOR = 1e-300
@@ -118,6 +123,13 @@ def _shaped(name: str, a, shape: tuple) -> np.ndarray:
     if want != a.shape:
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     return a
+
+
+def _row_blocks(n: int, m: int) -> list[slice]:
+    """Row slices that cover an (n, m) array in blocks of at most
+    ``ROW_BLOCK`` entries, and at least one row each."""
+    rows = max(1, ROW_BLOCK // m)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _plan_values(plan, name: str = "plan",
@@ -200,12 +212,12 @@ class KdeModel:
     Each domain gets its own median-distance scale,
     :attr:`DistanceMatrix.scale`. A single-point domain has no pairwise
     distances, so its scale is fixed at 1 and its Gram is ``[[1]]`` for
-    any bandwidth. The row sums of ``gram_x`` estimate the
-    source marginal density at each sample up to a constant; same for the
-    target. Projections kernelize query-to-source distances at the
-    projection bandwidth on every call, and take the plan-side factor at
-    that bandwidth from :meth:`projection_factor`, which keeps it between
-    calls.
+    any bandwidth. The row sums of ``gram_x``, kept read-only as
+    ``row_sums_x``, estimate the source marginal density at each sample up
+    to a constant; same for the target. Projections kernelize
+    query-to-source distances at the projection bandwidth on every call,
+    and take the plan-side factor at that bandwidth from
+    :meth:`projection_factor`, which keeps it between calls.
     """
 
     dist_x: DistanceMatrix
@@ -213,6 +225,8 @@ class KdeModel:
     bandwidth: float
     gram_x: np.ndarray = field(init=False, repr=False)
     gram_y: np.ndarray = field(init=False, repr=False)
+    row_sums_x: np.ndarray = field(init=False, repr=False)
+    row_sums_y: np.ndarray = field(init=False, repr=False)
     # (h, plan, W, r_y) for the last read-only plan that owns its data and
     # projection bandwidth scored; at most one, so memory stays one (n, m)
     # factor and one m-vector.
@@ -227,8 +241,10 @@ class KdeModel:
         object.__setattr__(self, "bandwidth", h)
         for side, d in (("x", self.dist_x), ("y", self.dist_y)):
             gram = gaussian_kernel(d.values, h, d.scale)
-            gram.flags.writeable = False
+            sums = gram.sum(axis=1)
+            gram.flags.writeable = sums.flags.writeable = False
             object.__setattr__(self, f"gram_{side}", gram)
+            object.__setattr__(self, f"row_sums_{side}", sums)
 
     @property
     def n(self) -> int:
@@ -249,16 +265,19 @@ class KdeModel:
         owns its data, as :attr:`CouplingMatrix.values` is. It is served
         again only for the same ``h`` and that same array. A writable plan
         may change in place, so its pair is recomputed on every call. At
-        the fitted bandwidth ``Ky`` is ``gram_y`` itself; at another it is
-        built on a miss and not kept.
+        the fitted bandwidth ``Ky`` and its row sums are ``gram_y`` and
+        ``row_sums_y``; at another they are built on a miss and not kept.
         """
         memo = self._factor
         if memo is not None and memo[0] == h and g is memo[1]:
             return memo[2], memo[3]
         g = _shaped("plan", g, (self.n, self.m))
-        ky = self.gram_y if h == self.bandwidth \
-            else gaussian_kernel(self.dist_y.values, h, self.dist_y.scale)
-        w, row_sums = g @ ky.T, ky.sum(axis=1)
+        if h == self.bandwidth:
+            ky, row_sums = self.gram_y, self.row_sums_y
+        else:
+            ky = gaussian_kernel(self.dist_y.values, h, self.dist_y.scale)
+            row_sums = ky.sum(axis=1)
+        w = g @ ky.T
         w.flags.writeable = row_sums.flags.writeable = False
         if not g.flags.writeable and g.base is None:
             object.__setattr__(self, "_factor", (h, g, w, row_sums))

@@ -19,8 +19,12 @@ as the kernel grows ill-conditioned, and on such problems they stall for
 thousands of iterations, so every later row update is a damped
 Sinkhorn-Newton step on the dual (Brauer, Clason, Lorenz & Wirth,
 arXiv:1710.06635), ``u <- u * exp(t * da)``, which converges
-quadratically near the solution; its Schur product skips the terms of
-plan entries below ``sqrt(tiny)``, which would only add subnormals.
+quadratically near the solution. Its Newton system is solved through the
+Schur complement on the smaller side: formed and solved densely below
+``CG_FLOOR`` columns, where the Schur product skips the terms of plan
+entries below ``sqrt(tiny)``, which would only add subnormals; from
+``CG_FLOOR`` on, by conjugate gradients that form no m x m matrix. The
+line search forms its n x m trial terms one row block at a time.
 Should the line search find no step that increases the dual (as happens
 once rounding dominates), sweeps take the rest of the budget. Both kinds
 of iteration share the column scaling, the absorption and the stopping
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (_finite, _integer, _plan_values, _readonly, _real,
-                      _shaped)
+                      _row_blocks, _shaped)
 from .points import check_marginal
 
 __all__ = [
@@ -65,6 +69,14 @@ _RIDGE = 1e-12
 _LOG_MAX = math.log(np.finfo(float).max)
 # Plan entries below this are left out of the Newton system's Schur product.
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+# Columns (on the smaller side) from which conjugate gradients solve the
+# Newton system without forming it; below, the dense solve is faster. Set
+# from the crossover rows of BENCH_newton_cg.json.
+CG_FLOOR = 256
+# Relative residual at which CG stops, and its iteration budget (``None``:
+# one per column); a solve that misses it falls back to the dense one.
+CG_TOL = 1e-10
+CG_MAX_ITER = None
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
@@ -343,9 +355,11 @@ def _newton_direction(plan, r, c, gp, gq):
 
     The system is solved through its Schur complement on the smaller side,
     so memory stays O(nm): on the columns, or on the rows of a plan with
-    more columns than rows, which is solved transposed. Its temporaries
-    are freed on return, before the caller's line search allocates its
-    own.
+    more columns than rows, which is solved transposed. From ``CG_FLOOR``
+    columns on, conjugate gradients solve it without forming the Schur
+    matrix (:func:`_schur_cg`); below, or should CG not converge, it is
+    formed and solved densely. Its temporaries are freed on return, before
+    the caller's line search allocates its own.
     """
     if plan.shape[1] > plan.shape[0]:
         db, da = _newton_direction(plan.T, c, r, gq, gp)
@@ -357,22 +371,65 @@ def _newton_direction(plan, r, c, gp, gq):
     # sum(db) = 0, which the right-hand side already satisfies; with the
     # ridge, the system is positive definite.
     r_reg = r + _RIDGE * r.max()
-    scaled = plan / r_reg[:, None]
-    rhs = gq - scaled.T @ gp
-    # The Schur product skips the terms of plan entries below sqrt(tiny):
-    # far below the diagonal (about c_j) and the ridge, they would add only
-    # subnormal products, which the CPU computes on a slow path.
-    scaled[plan < _SQRT_TINY] = 0.0
-    K = plan.T @ scaled
-    # Freed before the solve copies K, so this phase stays below the peak
-    # of the line search.
-    del scaled
-    K *= -1
-    K[np.diag_indices(m)] += c + _RIDGE * c.max()
-    K += c.mean() / m
-    db = np.linalg.solve(K, rhs)
+    diag = c + _RIDGE * c.max()
+    shift = c.sum() / m / m
+    db = _schur_cg(plan, r_reg, diag, shift, gp, gq) if m >= CG_FLOOR else None
+    if db is None:
+        scaled = plan / r_reg[:, None]
+        rhs = gq - scaled.T @ gp
+        # The Schur product skips the terms of plan entries below
+        # sqrt(tiny): far below the diagonal (about c_j) and the ridge, they
+        # would add only subnormal products, which the CPU computes on a
+        # slow path.
+        scaled[plan < _SQRT_TINY] = 0.0
+        K = plan.T @ scaled
+        # Freed before the solve copies K, so this phase stays below the
+        # peak of the line search.
+        del scaled
+        K *= -1
+        K.reshape(-1)[::m + 1] += diag
+        K += shift
+        db = np.linalg.solve(K, rhs)
     da = (gp - plan @ db) / r_reg
     return da, db
+
+
+def _schur_cg(plan, r_reg, diag, shift, gp, gq):
+    """``db`` of the Schur system ``(diag(diag) - P^T diag(1/r_reg) P +
+    shift 1 1^T) db = gq - P^T (gp / r_reg)`` of :func:`_newton_direction`
+    by Jacobi-preconditioned conjugate gradients, or ``None`` if the
+    relative residual is not below ``CG_TOL`` within ``CG_MAX_ITER``
+    iterations (``None``: one per column).
+
+    Each iteration applies the operator with two mat-vecs with the plan; no
+    m x m matrix is formed. The Jacobi diagonal leaves out the plan entries
+    below sqrt(tiny), as the dense Schur product does, and is summed one
+    row block at a time.
+    """
+    n, m = plan.shape
+    jacobi = diag + shift
+    for rows in _row_blocks(n, m):
+        block = plan[rows].copy()
+        block[block < _SQRT_TINY] = 0.0
+        jacobi -= (1.0 / r_reg[rows]) @ np.square(block, out=block)
+    rhs = gq - (gp / r_reg) @ plan
+    stop = CG_TOL * math.sqrt(rhs @ rhs)
+    x = np.zeros(m)
+    res = rhs
+    z = res / jacobi
+    d = z
+    rz = res @ z
+    for _ in range(m if CG_MAX_ITER is None else CG_MAX_ITER):
+        if math.sqrt(res @ res) <= stop:
+            return x
+        Ad = diag * d - ((plan @ d) / r_reg) @ plan + shift * d.sum()
+        alpha = rz / (d @ Ad)
+        x = x + alpha * d
+        res = res - alpha * Ad
+        z = res / jacobi
+        rz, rz_old = res @ z, rz
+        d = z + (rz / rz_old) * d
+    return x if math.sqrt(res @ res) <= stop else None
 
 
 def _armijo_step(plan, da, db, slope, log_nm):
@@ -385,22 +442,27 @@ def _armijo_step(plan, da, db, slope, log_nm):
     sets the step's length across blocks, and it can be huge: the first
     trial is cut so that the plan's mass cannot overflow, and backtracking
     goes on from there. ``None`` means no trial increased the dual enough.
-    Each trial rebuilds ``D`` in place, so the halvings share two n x m
-    buffers, freed on return.
+    Each trial forms ``D`` one row block at a time (``_row_blocks``), so
+    the halvings share two buffers of one block each, freed on return.
     """
     # Rounding is monotone, so the largest |da_i + db_j| is taken at the
     # extremes of da and db.
     reach = max(abs(da.max() + db.max()), abs(da.min() + db.min()))
     t = min(1.0, (_LOG_MAX - log_nm) / max(reach, 1.0))
-    D = np.empty(plan.shape)
-    E = np.empty(plan.shape)
+    blocks = _row_blocks(*plan.shape)
+    D = np.empty((blocks[0].stop, plan.shape[1]))
+    E = np.empty_like(D)
     for _ in range(_MAX_HALVINGS):
-        np.add(da[:, None], db[None, :], out=D)
-        D *= t
-        np.expm1(D, out=E)
-        E -= D
-        E *= plan
-        if float(E.sum()) <= (1.0 - _ARMIJO) * t * slope:
+        loss = 0.0
+        for rows in blocks:
+            d, e = D[:rows.stop - rows.start], E[:rows.stop - rows.start]
+            np.add(da[rows, None], db[None, :], out=d)
+            d *= t
+            np.expm1(d, out=e)
+            e -= d
+            e *= plan[rows]
+            loss += float(e.sum())
+        if loss <= (1.0 - _ARMIJO) * t * slope:
             return t
         t *= 0.5
     return None

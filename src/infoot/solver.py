@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _finite, _floored_ratio,
-                      _integer, _plan_values, _real, _shaped,
+                      _integer, _plan_values, _real, _row_blocks, _shaped,
                       build_kde_model)
 from .points import check_marginal
 from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
@@ -102,25 +102,30 @@ def _mi_and_gradient(model: KdeModel, g: np.ndarray
     The gradient's back-product ``K_X (g ./ J) K_Y.T`` is formed only when
     the callable is called, so a caller that needs just the value skips it.
     The callable may be called once: it forms ``g ./ J`` in the joint's
-    buffer and the log ratio in the ratio's, and lets go of ``g``, the
-    joint and the ratio.
+    buffer, lets go of it and of ``g`` before the second product, forms the
+    log ratio in the ratio's buffer and lets go of that too. The value's
+    masked terms are formed one row block at a time (``_row_blocks``).
     """
     kx, ky = model.gram_x, model.gram_y
     g = _shaped("plan", g, (model.n, model.m))
-    joint, ratio = _floored_ratio(kx @ g @ ky.T, kx.sum(axis=1), ky.sum(axis=1))
-    mask = g > 0
-    terms = ratio[mask]
-    terms *= model.n * model.m
-    np.log(terms, out=terms)
-    terms *= g[mask]
-    mi = float(terms.sum())
+    joint, ratio = _floored_ratio(kx @ g @ ky.T, model.row_sums_x,
+                                  model.row_sums_y)
+    mi = 0.0
+    for rows in _row_blocks(model.n, model.m):
+        mask = g[rows] > 0
+        terms = ratio[rows][mask]
+        terms *= model.n * model.m
+        np.log(terms, out=terms)
+        terms *= g[rows][mask]
+        mi += float(terms.sum())
     held = [g, joint, ratio]
 
     def gradient():
         g, joint, ratio = held
         held.clear()
-        back = kx @ np.divide(g, joint, out=joint) @ ky.T
-        del joint
+        back = kx @ np.divide(g, joint, out=joint)
+        del g, joint
+        back = back @ ky.T
         back += np.log(ratio, out=ratio)
         return back
 

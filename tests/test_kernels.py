@@ -449,11 +449,16 @@ def test_kde_model_is_derived_from_distances_and_bandwidth():
     dx = pairwise_distances(X, X)
     dy = pairwise_distances(Y, Y)
     model = KdeModel(dx, dy, H)
-    for gram, d in ((model.gram_x, dx), (model.gram_y, dy)):
+    for gram, sums, d in ((model.gram_x, model.row_sums_x, dx),
+                          (model.gram_y, model.row_sums_y, dy)):
         np.testing.assert_array_equal(
             gram, gaussian_kernel(d.values, H, estimate_scale(d)))
+        # The row sums are taken once, with the bits of a fresh sum.
+        np.testing.assert_array_equal(sums, gram.sum(axis=1))
         with pytest.raises(ValueError, match="read-only"):
             gram[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            sums[0] = 0.5
     cross = pairwise_distances(X, Y)
     with pytest.raises(ValueError, match="intra-domain"):
         KdeModel(cross, dy, H)

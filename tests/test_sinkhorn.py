@@ -5,6 +5,7 @@ probability-domain scaling implementation run to machine precision.
 """
 
 import importlib
+import math
 import sys
 import warnings
 
@@ -693,3 +694,106 @@ def test_newton_direction_skips_subnormal_products(shape):
         rda, rdb = _unmasked_direction(plan, r, c, gp, gq)
     np.testing.assert_allclose(da, rda, rtol=1e-12, atol=0)
     np.testing.assert_allclose(db, rdb, rtol=1e-12, atol=0)
+
+
+def _two_block_system(shape):
+    """A Newton system at a plan over two clusters at small eps. Entries
+    across the clusters lie below sqrt(tiny), so the plan nearly splits
+    into two blocks; its columns sum to ``q``, as after a column update."""
+    rng = np.random.default_rng(7)
+    n, m = shape
+
+    def points(k):
+        centers = np.repeat([[0.0, 0.0], [5.0, 0.0]], [k // 2, k - k // 2],
+                            axis=0)
+        return centers + rng.normal(0.0, 0.3, (k, 2))
+
+    x, y = points(n), points(m)
+    plan = np.exp(-((x[:, None] - y[None]) ** 2).sum(axis=2) / 0.05)
+    plan *= rng.uniform(0.5, 2.0, (n, 1))
+    plan *= (1.0 / m) / plan.sum(axis=0)
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    return plan, r, c, 1.0 / n - r, 1.0 / m - c
+
+
+@pytest.mark.parametrize("row_block", [1 << 14, 1000])
+@pytest.mark.parametrize("shape", [(80, 60), (60, 80)])
+def test_cg_direction_matches_the_dense_solve(shape, row_block, monkeypatch):
+    # Above CG_FLOOR the Schur system is solved by CG, which pins the
+    # gauge of each block differently from the dense solve's ridge; the
+    # steps it gives the plan, D = da_i + db_j weighted by the plan, agree.
+    # Blocks of 1000 entries sum the Jacobi diagonal over several blocks.
+    module = importlib.import_module("infoot.sinkhorn")
+    plan, r, c, gp, gq = _two_block_system(shape)
+    assert min(shape) < module.CG_FLOOR and (plan < 1e-154).any()
+    da, db = module._newton_direction(plan, r, c, gp, gq)
+    monkeypatch.setattr(module, "CG_FLOOR", min(shape))
+    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
+                        "ROW_BLOCK", row_block)
+
+    def no_dense_solve(*args):
+        raise AssertionError("the CG path made a dense solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    cg_da, cg_db = module._newton_direction(plan, r, c, gp, gq)
+    D = da[:, None] + db[None, :]
+    diff = np.abs(cg_da[:, None] + cg_db[None, :] - D)
+    assert (plan * diff).sum() <= 1e-8 * (plan * np.abs(D)).sum()
+
+
+def test_cg_that_misses_its_tolerance_falls_back_to_the_dense_solve(
+        monkeypatch):
+    module = importlib.import_module("infoot.sinkhorn")
+    plan, r, c, gp, gq = _two_block_system((80, 60))
+    dense_da, dense_db = module._newton_direction(plan, r, c, gp, gq)
+    monkeypatch.setattr(module, "CG_FLOOR", 60)
+    monkeypatch.setattr(module, "CG_MAX_ITER", 2)
+    schur_cg, solved = module._schur_cg, []
+
+    def spy(*args):
+        solved.append(schur_cg(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(module, "_schur_cg", spy)
+    da, db = module._newton_direction(plan, r, c, gp, gq)
+    assert solved == [None]
+    np.testing.assert_array_equal(da, dense_da)
+    np.testing.assert_array_equal(db, dense_db)
+
+
+@pytest.mark.parametrize("row_block", [1 << 14, 40])
+def test_line_search_sums_every_row_block(row_block, monkeypatch):
+    # A slope at which the trials t = 1 and 1/2 are refused and t = 1/4 is
+    # taken, by the sum over the whole plan at once; blocks of two rows
+    # must add up to the same decision.
+    module = importlib.import_module("infoot.sinkhorn")
+    rng = np.random.default_rng(3)
+    plan = rng.uniform(0.0, 1.0, (30, 20)) / 300
+    da, db = rng.normal(size=30), rng.normal(size=20)
+
+    def loss_per_t(t):
+        D = t * (da[:, None] + db[None, :])
+        return float((plan * (np.expm1(D) - D)).sum()) / t
+
+    slope = math.sqrt(loss_per_t(0.25) * loss_per_t(0.5)) / (1 - module._ARMIJO)
+    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
+                        "ROW_BLOCK", row_block)
+    assert module._armijo_step(plan, da, db, slope, math.log(plan.size)) == 0.25
+
+
+def test_row_blocks_change_only_the_order_of_sums(monkeypatch):
+    # A line search over blocks of two rows sums each trial in another
+    # order than over one block; the solve takes the same steps.
+    rng = np.random.default_rng(5)
+    C = rng.uniform(0.0, 2.0, (30, 20))
+    p, q = uniform_weights(30), uniform_weights(20)
+    coupling, report = sinkhorn(C, p, q, 0.02, max_iter=5000, tol=1e-12)
+    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
+                        "ROW_BLOCK", 40)
+    blocked, blocked_report = sinkhorn(C, p, q, 0.02, max_iter=5000,
+                                       tol=1e-12)
+    assert report.converged and report.newton_steps > 0
+    assert (blocked_report.iterations, blocked_report.newton_steps) == (
+        report.iterations, report.newton_steps)
+    np.testing.assert_allclose(blocked.values, coupling.values, rtol=1e-12,
+                               atol=0)

@@ -6,6 +6,7 @@ matching kernel-level values); gradients were cross-checked there with
 central differences at step 1e-6.
 """
 
+import importlib
 import math
 import sys
 import tracemalloc
@@ -109,6 +110,20 @@ def test_mi_value_builds_no_gradient(monkeypatch):
     assert gradients == []
     mi_gradient(_model(), PLAN)
     assert len(gradients) == 1
+
+
+def test_mi_value_over_row_blocks(monkeypatch):
+    # Blocks of one row sum the terms in another order: the value moves in
+    # its last bits only.
+    rng = np.random.default_rng(2)
+    model, _, _ = _random_instance(rng, n_max=30, h=0.4)
+    plan = rng.uniform(size=(model.n, model.m))
+    plan[plan < 0.2] = 0.0
+    plan /= plan.sum()
+    whole = mutual_information(model, plan)
+    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
+                        "ROW_BLOCK", 1)
+    assert abs(mutual_information(model, plan) - whole) <= 1e-14 * abs(whole)
 
 
 def test_solver_config_validation():
@@ -475,9 +490,10 @@ def _traced_peak(fn, *args):
 def test_fit_peak_memory_in_square_arrays(h):
     # A Newton step reads and writes six n x n arrays (two Grams, dx, dy,
     # the cross cost, the previous plan) and holds five of its own at its
-    # peak: S, K, the Newton plan and two step buffers. The step's cost is
-    # freed once S is built; before Python 3.11 the caller's stack keeps
-    # that temporary alive through the solve, one array more.
+    # peak at n=200: S, K, the Newton plan, and the Schur matrix with
+    # LAPACK's copy of it. The step's cost is freed once S is built; before
+    # Python 3.11 the caller's stack keeps that temporary alive through the
+    # solve, one array more.
     extra = 0.0 if sys.version_info >= (3, 11) else 1.0
     # A first fit pays for lazy imports and first-call caches.
     warm = gen_clusters(GeneratorConfig(sizes=(5, 5), seed=1, rotation=0.6))
@@ -495,3 +511,12 @@ def test_fit_peak_memory_in_square_arrays(h):
     peak = _traced_peak(solve_infoot, dx, dy, data.source.weights,
                         data.target.weights, cfg)
     assert peak / (n * n * 8) <= 7.6 + extra
+    if h == 0.5:
+        # From CG_FLOOR columns on, no Schur matrix is formed, and the line
+        # search and the MI value's terms work a row block at a time: a
+        # Newton step holds S, K and the Newton plan, and little more.
+        n = 300
+        data = gen_clusters(GeneratorConfig(sizes=(n // 2, n // 2), seed=0,
+                                            rotation=0.6))
+        peak = _traced_peak(fit_alignment, data.source, data.target, cfg)
+        assert peak / (n * n * 8) <= 10.0 + extra
