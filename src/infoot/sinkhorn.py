@@ -73,10 +73,9 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # Newton system without forming it; below, the dense solve is faster. Set
 # from the crossover rows of BENCH_newton_cg.json.
 CG_FLOOR = 256
-# Relative residual at which CG stops, and its iteration budget (``None``:
-# one per column); a solve that misses it falls back to the dense one.
+# Relative residual at which CG stops; a solve that misses it within one
+# iteration per column falls back to the dense one.
 CG_TOL = 1e-10
-CG_MAX_ITER = None
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
@@ -398,15 +397,21 @@ def _schur_cg(plan, r_reg, diag, shift, gp, gq):
     """``db`` of the Schur system ``(diag(diag) - P^T diag(1/r_reg) P +
     shift 1 1^T) db = gq - P^T (gp / r_reg)`` of :func:`_newton_direction`
     by Jacobi-preconditioned conjugate gradients, or ``None`` if the
-    relative residual is not below ``CG_TOL`` within ``CG_MAX_ITER``
-    iterations (``None``: one per column).
+    relative residual is not below ``CG_TOL`` within one iteration per
+    column.
 
     Each iteration applies the operator with two mat-vecs with the plan; no
     m x m matrix is formed. The Jacobi diagonal leaves out the plan entries
     below sqrt(tiny), as the dense Schur product does, and is summed one
-    row block at a time.
+    row block at a time. The residual the iterations update can drift from
+    the true one on an ill-conditioned system, so the true one is computed
+    before ``db`` is returned.
     """
     n, m = plan.shape
+
+    def schur(v):
+        return diag * v - ((plan @ v) / r_reg) @ plan + shift * v.sum()
+
     jacobi = diag + shift
     for rows in _row_blocks(n, m):
         block = plan[rows].copy()
@@ -419,16 +424,17 @@ def _schur_cg(plan, r_reg, diag, shift, gp, gq):
     z = res / jacobi
     d = z
     rz = res @ z
-    for _ in range(m if CG_MAX_ITER is None else CG_MAX_ITER):
+    for _ in range(m):
         if math.sqrt(res @ res) <= stop:
-            return x
-        Ad = diag * d - ((plan @ d) / r_reg) @ plan + shift * d.sum()
+            break
+        Ad = schur(d)
         alpha = rz / (d @ Ad)
         x = x + alpha * d
         res = res - alpha * Ad
         z = res / jacobi
         rz, rz_old = res @ z, rz
         d = z + (rz / rz_old) * d
+    res = rhs - schur(x)
     return x if math.sqrt(res @ res) <= stop else None
 
 

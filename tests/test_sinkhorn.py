@@ -741,13 +741,36 @@ def test_cg_direction_matches_the_dense_solve(shape, row_block, monkeypatch):
     assert (plan * diff).sum() <= 1e-8 * (plan * np.abs(D)).sum()
 
 
+@pytest.mark.parametrize("shape", [(80, 60), (60, 80)])
+def test_cg_direction_solves_the_shifted_system(shape, monkeypatch):
+    # On a plan of one cluster, every entry above sqrt(tiny), the rank-one
+    # shift alone fixes the gauge, so CG must return the dense solve's da
+    # and db themselves, not only the same da_i + db_j.
+    module = importlib.import_module("infoot.sinkhorn")
+    rng = np.random.default_rng(8)
+    n, m = shape
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+    plan = np.exp(-((x[:, None] - y[None]) ** 2).sum(axis=2))
+    plan *= rng.uniform(0.5, 2.0, (n, 1))
+    plan *= (1.0 / m) / plan.sum(axis=0)
+    assert plan.min() > 1e-154
+    r, c = plan.sum(axis=1), plan.sum(axis=0)
+    gp, gq = 1.0 / n - r, 1.0 / m - c
+    da, db = module._newton_direction(plan, r, c, gp, gq)
+    monkeypatch.setattr(module, "CG_FLOOR", min(shape))
+    monkeypatch.setattr(np.linalg, "solve", None)
+    cg_da, cg_db = module._newton_direction(plan, r, c, gp, gq)
+    np.testing.assert_allclose(cg_da, da, rtol=0, atol=1e-8 * np.abs(da).max())
+    np.testing.assert_allclose(cg_db, db, rtol=0, atol=1e-8 * np.abs(db).max())
+
+
 def test_cg_that_misses_its_tolerance_falls_back_to_the_dense_solve(
         monkeypatch):
     module = importlib.import_module("infoot.sinkhorn")
     plan, r, c, gp, gq = _two_block_system((80, 60))
     dense_da, dense_db = module._newton_direction(plan, r, c, gp, gq)
     monkeypatch.setattr(module, "CG_FLOOR", 60)
-    monkeypatch.setattr(module, "CG_MAX_ITER", 2)
+    monkeypatch.setattr(module, "CG_TOL", 0.0)
     schur_cg, solved = module._schur_cg, []
 
     def spy(*args):
