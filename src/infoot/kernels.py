@@ -46,11 +46,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
-# Entries in one row block of an (n, m) temporary that is formed a block of
-# rows at a time (:func:`_row_blocks`). Every fit of the shipped specs, the
-# largest 54 x 60, fits in one block, so its sums keep the order and the
-# bits of an unblocked sum.
-ROW_BLOCK = 1 << 14
 # Gaussian kernels keep densities positive, but tiny bandwidths underflow;
 # the joint is clamped before any division or log.
 JOINT_FLOOR = 1e-300
@@ -123,13 +118,6 @@ def _shaped(name: str, a, shape: tuple) -> np.ndarray:
     if want != a.shape:
         raise ValueError(f"{name} must have shape {want}, got {a.shape}")
     return a
-
-
-def _row_blocks(n: int, m: int) -> list[slice]:
-    """Row slices that cover an (n, m) array in blocks of at most
-    ``ROW_BLOCK`` entries, and at least one row each."""
-    rows = max(1, ROW_BLOCK // m)
-    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _plan_values(plan, name: str = "plan",

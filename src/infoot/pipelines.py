@@ -159,7 +159,7 @@ def version_stamp() -> str:
             cwd=Path(__file__).resolve().parent)
         if proc.returncode == 0 and proc.stdout.strip():
             stamp = f"{stamp}+g{proc.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return stamp
 

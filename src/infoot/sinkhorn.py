@@ -31,10 +31,11 @@ of iteration share the column scaling, the absorption and the stopping
 test, which reads the row marginal alone. Small ``eps`` cannot underflow
 the kernel: when a scaling leaves ``[1e-50, 1e50]`` or a sum of ``K``
 underflows, the scalings are absorbed into ``(a, b)`` and ``K`` is
-rebuilt. What leaves the module is log potentials, and the returned plan
-is ``exp(S + a + b)`` of them, so its tiny entries are what a log-domain
-solver gives; the loop keeps its name, ``sinkhorn_log_kernel``, for that
-contract.
+rebuilt. The returned plan is the last iterate ``diag(u) K diag(v)``
+itself, the one whose row violation the loop measured, formed in the
+buffer of ``K``. The column scaling that ends every iteration gives it
+the column marginal to rounding, so it has unit mass and entries at most
+1 however the solve stopped, at any ``eps``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (_finite, _integer, _plan_values, _readonly, _real,
-                      _row_blocks, _shaped)
+                      _shaped)
 from .points import check_marginal
 
 __all__ = [
@@ -79,6 +80,12 @@ CG_TOL = 1e-10
 # Safe range of the scalings on a stabilized kernel; outside it they are
 # folded into the log potentials and the kernel is rebuilt.
 _SCALE_MIN, _SCALE_MAX = 1e-50, 1e50
+# Entries in one row block of an (n, m) temporary of a Newton step that is
+# formed a block of rows at a time (:func:`_row_blocks`): the line search's
+# trial terms and the squares of the CG Jacobi diagonal. Every fit of the
+# shipped specs, the largest 54 x 60, fits in one block, so its sums keep
+# the order and the bits of an unblocked sum.
+ROW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -173,6 +180,13 @@ class SinkhornReport:
             raise ValueError(f"violation must be nonnegative, got {self.violation}")
 
 
+def _row_blocks(n: int, m: int) -> list[slice]:
+    """Row slices that cover an (n, m) array in blocks of at most
+    ``ROW_BLOCK`` entries, and at least one row each."""
+    rows = max(1, ROW_BLOCK // m)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
 def _in_range(x: np.ndarray) -> bool:
     """Whether every scaling in ``x`` lies in ``[_SCALE_MIN, _SCALE_MAX]``;
     written so that NaN fails it."""
@@ -211,9 +225,12 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
     (zero when omitted) and stops on the L1 violation of the row marginal
     alone: the column update that ends every iteration makes the column
     marginal exact to rounding. Returns ``(a, b, iterations, violation,
-    converged, newton_steps)`` where ``a`` and ``b`` are the log-domain
-    scalings of the last iterate, ``violation`` is its row violation and
-    the iterations include the Newton steps.
+    converged, newton_steps, plan)`` where ``a`` and ``b`` are the
+    log-domain scalings of the last iterate, ``violation`` is its row
+    violation, the iterations include the Newton steps and ``plan`` is the
+    iterate ``diag(u) K diag(v)``. The plan is formed in the buffer of
+    ``K``, copied first only when a column absorption has left ``K`` a
+    transposed view, so it is C-contiguous and owns its data.
     """
     S = np.asarray(S, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -261,10 +278,13 @@ def sinkhorn_log_kernel(S, p, q, max_iter, tol, b=None):
             Kv = K @ v
             viol = np.abs(u * Kv - p).sum()
             if viol <= tol:
-                return (a + np.log(u), b + np.log(v), it, float(viol), True,
-                        newton_steps)
-    return (a + np.log(u), b + np.log(v), max_iter, float(viol), False,
-            newton_steps)
+                break
+    # A column absorption leaves K a transposed view.
+    plan = K if K.base is None else K.copy()
+    plan *= u[:, None]
+    plan *= v
+    return (a + np.log(u), b + np.log(v), it, float(viol), bool(viol <= tol),
+            newton_steps, plan)
 
 
 def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
@@ -273,11 +293,12 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
 
     Iterates until the L1 violation of the row marginal drops below ``tol``
     or ``max_iter`` is hit; the latter is reported through the ``converged``
-    flag rather than an exception, with the plan rescaled to unit mass.
-    ``init`` is an optional starting target potential in cost units, as in
-    ``report.potential_target``; passing the potential of a solve on a
-    nearby cost (a warm start) saves most of the iterations, and ``None``
-    starts from zero. The solve is one call of
+    flag rather than an exception, with the plan not strict. Either way
+    the plan is the loop's last iterate, whose row violation is
+    ``report.violation``. ``init`` is an optional starting target potential
+    in cost units, as in ``report.potential_target``; passing the potential
+    of a solve on a nearby cost (a warm start) saves most of the
+    iterations, and ``None`` starts from zero. The solve is one call of
     :func:`sinkhorn_log_kernel`: the first ``NEWTON_WARMUP`` iterations are
     stabilized Sinkhorn sweeps, and a solve still unconverged after them
     continues with damped Sinkhorn-Newton steps on the row scaling, each
@@ -301,26 +322,15 @@ def sinkhorn(C, p, q, eps: float, max_iter: int = 1000, tol: float = 1e-9,
     # A cost passed as a temporary dies here, before the kernel is built
     # (on CPython >= 3.11; before it, the caller's stack holds it).
     del C
-    a, b, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
+    a, b, iters, viol, converged, newton_steps, plan = sinkhorn_log_kernel(
         S, p, q, max_iter, tol, init)
-    plan = np.add.outer(a, b)
-    plan += S
-    del S
-    if not converged:
-        # Once |S| nears 1e9, rounding in S + a + b costs the plan the unit
-        # mass its scalings keep, and at far smaller eps exp overflows: a
-        # capped solve's plan is peaked at 1 and rescaled to unit mass.
-        plan -= plan.max()
-    np.exp(plan, out=plan)
-    if not converged:
-        plan /= plan.sum()
     coupling = CouplingMatrix._of_solve(plan, p, q, converged)
     report = SinkhornReport(
-        iterations=int(iters),
-        violation=float(viol),
-        converged=bool(converged),
-        potential_source=eps * np.asarray(a),
-        potential_target=eps * np.asarray(b),
+        iterations=iters,
+        violation=viol,
+        converged=converged,
+        potential_source=eps * a,
+        potential_target=eps * b,
         newton_steps=newton_steps,
     )
     return coupling, report

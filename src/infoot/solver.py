@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .kernels import (DistanceMatrix, KdeModel, _finite, _floored_ratio,
-                      _integer, _plan_values, _real, _row_blocks, _shaped,
-                      build_kde_model)
+                      _integer, _plan_values, _real, _shaped, build_kde_model)
 from .points import check_marginal
 from .sinkhorn import CouplingMatrix, SinkhornReport, sinkhorn
 
@@ -99,34 +98,33 @@ def _mi_and_gradient(model: KdeModel, g: np.ndarray
     """The MI estimate of an (n, m) plan ``g`` and a callable that returns
     its gradient, both read off one floored KDE joint ``J = K_X @ g @ K_Y.T``.
 
-    The gradient's back-product ``K_X (g ./ J) K_Y.T`` is formed only when
-    the callable is called, so a caller that needs just the value skips it.
+    The log ratio ``L = log(n*m * J ./ (Mx My^T))`` is taken once, in the
+    ratio's buffer. The value is the plan-weighted sum of ``L``, summed by
+    ``einsum``, which calls no BLAS, so it has the same bits at every
+    thread count; a zero plan entry weighs its finite term by zero. The
+    gradient's back-product ``K_X (g ./ J) K_Y.T`` is formed only when the
+    callable is called, so a caller that needs just the value skips it.
     The callable may be called once: it forms ``g ./ J`` in the joint's
-    buffer, lets go of it and of ``g`` before the second product, forms the
-    log ratio in the ratio's buffer and lets go of that too. The value's
-    masked terms are formed one row block at a time (``_row_blocks``).
+    buffer and lets go of it and of ``g`` before the second product.
     """
     kx, ky = model.gram_x, model.gram_y
     g = _shaped("plan", g, (model.n, model.m))
     joint, ratio = _floored_ratio(kx @ g @ ky.T, model.row_sums_x,
                                   model.row_sums_y)
-    mi = 0.0
-    for rows in _row_blocks(model.n, model.m):
-        mask = g[rows] > 0
-        terms = ratio[rows][mask]
-        terms *= model.n * model.m
-        np.log(terms, out=terms)
-        terms *= g[rows][mask]
-        mi += float(terms.sum())
-    held = [g, joint, ratio]
+    nm = model.n * model.m
+    ratio *= nm
+    log_ratio = np.log(ratio, out=ratio)
+    mi = float(np.einsum("ij,ij->", g, log_ratio))
+    held = [g, joint, log_ratio]
 
     def gradient():
-        g, joint, ratio = held
+        g, joint, log_ratio = held
         held.clear()
         back = kx @ np.divide(g, joint, out=joint)
         del g, joint
         back = back @ ky.T
-        back += np.log(ratio, out=ratio)
+        back += log_ratio
+        back -= math.log(nm)
         return back
 
     return mi, gradient
@@ -136,7 +134,7 @@ def mutual_information(model: KdeModel, plan) -> float:
     """KDE-estimated mutual information of a transport plan.
 
     Includes the ``log(n*m)`` offset, so the independent plan built from
-    uniform marginals scores exactly zero.
+    uniform marginals scores zero to rounding.
     """
     return _mi_and_gradient(model, _plan_values(plan))[0]
 

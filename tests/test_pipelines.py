@@ -1,6 +1,7 @@
 """Experiment specs, evaluation metrics, and the pipelines."""
 
 import json
+import subprocess
 import threading
 from dataclasses import replace
 from itertools import permutations
@@ -87,6 +88,20 @@ def test_load_spec_reports_json_line(tmp_path):
 def test_version_stamp_prefix():
     stamp = version_stamp()
     assert stamp.startswith(__version__)
+
+
+def test_version_stamp_survives_a_git_that_hangs(monkeypatch):
+    # A timeout is a SubprocessError, not an OSError: the stamp falls back
+    # to the bare version instead of failing every command.
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    version_stamp.cache_clear()
+    try:
+        assert version_stamp() == __version__
+    finally:
+        version_stamp.cache_clear()
 
 
 def test_eval_report_validation():

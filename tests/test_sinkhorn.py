@@ -151,9 +151,10 @@ def test_sinkhorn_non_convergence_is_flagged_not_raised():
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
 def test_capped_solve_at_tiny_eps_returns_a_unit_mass_plan(eps):
-    # |S| = |C| / eps reaches 1e9 and more here, where the plan rebuilt as
-    # exp(S + a + b) loses its unit mass to rounding. A solve that stops at
-    # its cap still returns its plan, flagged and not strict.
+    # |S| = |C| / eps reaches 1e9 and more here, where a plan rebuilt as
+    # exp(S + a + b) would lose its unit mass to rounding; the loop's own
+    # iterate u K v keeps it. A solve that stops at its cap still returns
+    # its plan, flagged and not strict.
     C = np.random.default_rng(0).random((20, 25)) * 2
     p, q = uniform_weights(20), uniform_weights(25)
     coupling, report = sinkhorn(C, p, q, eps, max_iter=10)
@@ -164,7 +165,8 @@ def test_capped_solve_at_tiny_eps_returns_a_unit_mass_plan(eps):
 def test_capped_solve_plan_cannot_overflow(monkeypatch):
     # At eps far below 1e-9, rounding can put S + a + b past the range of
     # exp. Shifting the returned potentials by 800 does that here; the
-    # capped solve's plan is still the finite, unit-mass rescaling.
+    # capped solve's plan is the loop's iterate u K v, which no exp of the
+    # potentials touches, so it is unchanged.
     module = importlib.import_module("infoot.sinkhorn")
     kernel = module.sinkhorn_log_kernel
     reference, _ = sinkhorn(C3, P3, Q3, eps=0.1, max_iter=2)
@@ -368,8 +370,8 @@ def test_kernel_start_equals_shifted_log_kernel(max_iter, sweeps_only):
     C, p, q, eps = _newton_instance()
     S = -C / eps
     b0 = np.random.default_rng(9).normal(size=q.size)
-    a1, b1, it1, viol1, conv1, _ = sinkhorn_log_kernel(S, p, q, max_iter,
-                                                       1e-12, b0)
+    a1, b1, it1, viol1, conv1, _, _ = sinkhorn_log_kernel(S, p, q, max_iter,
+                                                          1e-12, b0)
     a2, b2, it2, viol2, conv2 = _log_domain_sweeps(S + b0[None, :], p, q,
                                                    max_iter, 1e-12)
     assert (it1, conv1) == (it2, conv2)
@@ -499,7 +501,7 @@ def test_cold_solve_absorbs_when_the_cost_spans_past_exp(shape, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(importlib.import_module("infoot.sinkhorn"),
                       "NEWTON_WARMUP", sys.maxsize)
-        a, b, it, viol, _, _ = sinkhorn_log_kernel(S, p, q, 40, 1e-300)
+        a, b, it, viol, _, _, _ = sinkhorn_log_kernel(S, p, q, 40, 1e-300)
     ra, rb, rit, rviol, _ = _log_domain_sweeps(S, p, q, 40, 1e-300)
     assert it == rit == 40 and abs(viol - rviol) <= 1e-12
     np.testing.assert_allclose(a, ra, rtol=0, atol=1e-9)
@@ -532,7 +534,7 @@ def test_stale_warm_start_absorbs_in_the_sweeps(shape, sweeps, monkeypatch):
     # One sweep ends on the absorbing one, so what it returns is what the
     # absorption left.
     events = _spy(monkeypatch)
-    a, b, it, viol, _, newton_steps = sinkhorn_log_kernel(
+    a, b, it, viol, _, newton_steps, _ = sinkhorn_log_kernel(
         S, p, q, sweeps, 1e-300, init / eps)
     assert events.count("build") > 1 and newton_steps == 0
     ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, sweeps, 1e-300,
@@ -558,7 +560,7 @@ def test_sweeps_absorb_row_scalings_below_range(shape, sweeps_only,
     S = np.ascontiguousarray(-C / 0.02)
     b0 = np.random.default_rng(3).normal(size=shape[1])
     events = _spy(monkeypatch)
-    a, b, it, viol, _, _ = sinkhorn_log_kernel(S, p, q, 20, 1e-300, b0)
+    a, b, it, viol, _, _, _ = sinkhorn_log_kernel(S, p, q, 20, 1e-300, b0)
     assert events == ["build"] * (1 + 20)
     ra, rb, _, rviol, _ = _log_domain_sweeps(S, p, q, 20, 1e-300, b0)
     assert abs(viol - rviol) <= 1e-12
@@ -603,7 +605,7 @@ def test_polish_absorbs_out_of_range_scalings(shape, side, drop,
         lowered.done = False
         monkeypatch.setattr(module, "_newton_row_step", lowered)
     events = _spy(monkeypatch)
-    a1, b1, iters, viol, converged, newton_steps = sinkhorn_log_kernel(
+    a1, b1, iters, viol, converged, newton_steps, _ = sinkhorn_log_kernel(
         S, p, q, 100, 1e-12, b0)
     assert converged and viol <= 1e-12 and newton_steps == iters
     assert events.count("build") > 1
@@ -636,11 +638,17 @@ def _premise_case(case, monkeypatch):
         eps = 1 / 2000
     elif case == "capped":
         return C, p, q, eps, {"max_iter": NEWTON_WARMUP + 1}
+    elif case == "capped at tiny eps":
+        # The instance of test_capped_solve_at_tiny_eps_returns_a_unit_mass_plan.
+        C = np.random.default_rng(0).random((20, 25)) * 2
+        return C, uniform_weights(20), uniform_weights(25), 1e-12, {
+            "max_iter": 10}
     return C, p, q, eps, {}
 
 
 @pytest.mark.parametrize("case", ["cold", "warm", "sweeps only", "newton",
-                                  "absorbing", "capped"])
+                                  "absorbing", "capped",
+                                  "capped at tiny eps"])
 def test_loop_measures_only_the_rows(case, monkeypatch):
     # Every iteration ends on the exact column scaling, so the returned
     # plan meets its column marginal to rounding, far below tol, however
@@ -649,7 +657,7 @@ def test_loop_measures_only_the_rows(case, monkeypatch):
     kwargs.setdefault("max_iter", 20000)
     tol = 1e-9
     coupling, report = sinkhorn(C, p, q, eps, tol=tol, **kwargs)
-    assert report.converged == (case != "capped")
+    assert report.converged == (not case.startswith("capped"))
     if case in ("sweeps only", "newton"):
         assert (report.newton_steps > 0) == (case == "newton")
     plan = coupling.values
@@ -728,8 +736,7 @@ def test_cg_direction_matches_the_dense_solve(shape, row_block, monkeypatch):
     assert min(shape) < module.CG_FLOOR and (plan < 1e-154).any()
     da, db = module._newton_direction(plan, r, c, gp, gq)
     monkeypatch.setattr(module, "CG_FLOOR", min(shape))
-    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
-                        "ROW_BLOCK", row_block)
+    monkeypatch.setattr(module, "ROW_BLOCK", row_block)
 
     def no_dense_solve(*args):
         raise AssertionError("the CG path made a dense solve")
@@ -799,8 +806,7 @@ def test_line_search_sums_every_row_block(row_block, monkeypatch):
         return float((plan * (np.expm1(D) - D)).sum()) / t
 
     slope = math.sqrt(loss_per_t(0.25) * loss_per_t(0.5)) / (1 - module._ARMIJO)
-    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
-                        "ROW_BLOCK", row_block)
+    monkeypatch.setattr(module, "ROW_BLOCK", row_block)
     assert module._armijo_step(plan, da, db, slope, math.log(plan.size)) == 0.25
 
 
@@ -811,7 +817,7 @@ def test_row_blocks_change_only_the_order_of_sums(monkeypatch):
     C = rng.uniform(0.0, 2.0, (30, 20))
     p, q = uniform_weights(30), uniform_weights(20)
     coupling, report = sinkhorn(C, p, q, 0.02, max_iter=5000, tol=1e-12)
-    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
+    monkeypatch.setattr(importlib.import_module("infoot.sinkhorn"),
                         "ROW_BLOCK", 40)
     blocked, blocked_report = sinkhorn(C, p, q, 0.02, max_iter=5000,
                                        tol=1e-12)

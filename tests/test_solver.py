@@ -112,18 +112,33 @@ def test_mi_value_builds_no_gradient(monkeypatch):
     assert len(gradients) == 1
 
 
-def test_mi_value_over_row_blocks(monkeypatch):
-    # Blocks of one row sum the terms in another order: the value moves in
-    # its last bits only.
+def test_mi_value_of_a_plan_with_zeros_is_the_masked_sum():
+    # Zero plan entries add no term: the value is the masked definition
+    # sum over g > 0 of g * log(n*m * J / (Mx My^T)).
     rng = np.random.default_rng(2)
     model, _, _ = _random_instance(rng, n_max=30, h=0.4)
     plan = rng.uniform(size=(model.n, model.m))
     plan[plan < 0.2] = 0.0
     plan /= plan.sum()
-    whole = mutual_information(model, plan)
-    monkeypatch.setattr(importlib.import_module("infoot.kernels"),
-                        "ROW_BLOCK", 1)
-    assert abs(mutual_information(model, plan) - whole) <= 1e-14 * abs(whole)
+    assert (plan == 0).any()
+    joint = model.gram_x @ plan @ model.gram_y.T
+    ratio = model.n * model.m * joint / np.outer(model.row_sums_x,
+                                                  model.row_sums_y)
+    mask = plan > 0
+    masked = float((plan[mask] * np.log(ratio[mask])).sum())
+    assert abs(mutual_information(model, plan) - masked) <= 1e-14 * abs(masked)
+
+
+def test_independence_null_is_zero_at_n300():
+    # Each log term is taken of the full ratio n*m * J / (Mx My^T), which
+    # is 1 to rounding here; adding log(n*m) apart would leave 1e-13.
+    rng = np.random.default_rng(3)
+    xs, ys = PointSet(rng.normal(size=(300, 2))), PointSet(
+        rng.normal(size=(300, 2)))
+    model = build_kde_model(pairwise_distances(xs, xs),
+                            pairwise_distances(ys, ys), 0.5)
+    g = np.outer(uniform_weights(300), uniform_weights(300))
+    assert abs(mutual_information(model, g)) <= 1e-14
 
 
 def test_solver_config_validation():
@@ -512,9 +527,10 @@ def test_fit_peak_memory_in_square_arrays(h):
                         data.target.weights, cfg)
     assert peak / (n * n * 8) <= 7.6 + extra
     if h == 0.5:
-        # From CG_FLOOR columns on, no Schur matrix is formed, and the line
-        # search and the MI value's terms work a row block at a time: a
-        # Newton step holds S, K and the Newton plan, and little more.
+        # From CG_FLOOR columns on, no Schur matrix is formed, the line
+        # search works a row block at a time and the MI value takes its log
+        # in the ratio's buffer: a Newton step holds S, K and the Newton
+        # plan, and little more.
         n = 300
         data = gen_clusters(GeneratorConfig(sizes=(n // 2, n // 2), seed=0,
                                             rotation=0.6))
